@@ -369,14 +369,13 @@ def cmd_rescore(args):
             "alpha": args.alpha, "ac_scale": args.acoustic_scale,
             "lm_scale": args.lm_scale}
     tasks = [(os.path.join(args.lattices, n), opts) for n in names]
+    _WORKERS = (uni, su, (lattice_mod.ProbCache(), lattice_mod.ProbCache()))
     if args.jobs > 1:
-        # fork inherits the loaded models; results come back in input order
-        _WORKERS = (uni, su, (None, None))
+        # fork gives every worker its own copy of the models and of the
+        # cache pair; results come back in input order
         with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
             results = list(pool.imap(_rescore_one, tasks))
     else:
-        _WORKERS = (uni, su,
-                    (lattice_mod.ProbCache(), lattice_mod.ProbCache()))
         results = [_rescore_one(t) for t in tasks]
 
     pairs = []

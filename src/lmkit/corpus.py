@@ -215,22 +215,25 @@ def make_spliced_batches(corpus, num_streams, future_k=0):
         s = min(range(num_streams), key=lambda i: len(streams[i]))
         starts[s].append(len(streams[s]))
         streams[s].extend(sent)
+    streams = [np.asarray(s, dtype=np.int64) for s in streams]
     windows = None
     if future_k > 0:
-        vocab = corpus.vocab
-        windows = []
-        for s in range(num_streams):
-            win = np.full((max(len(streams[s]) - 1, 0), future_k), vocab.pad, dtype=np.int64)
-            bounds = starts[s] + [len(streams[s])]
-            for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                sent = streams[s][lo:hi]
-                # target at step t predicts stream position t+1
-                for t in range(lo, hi - 1):
-                    fw = future_window(vocab, sent, t + 1 - lo, future_k)
-                    win[t] = fw.ids
-            windows.append(win)
-    streams = [np.asarray(s, dtype=np.int64) for s in streams]
+        windows = [_stream_windows(stream, sent_starts, corpus.vocab.pad, future_k)
+                   for stream, sent_starts in zip(streams, starts)]
     return SplicedBatch(streams, starts, windows)
+
+
+def _stream_windows(stream, starts, pad, k):
+    """(T-1, k) windows of one stream: step t predicts stream position t+1,
+    and its window is `future_window` of that position within its sentence,
+    so slots at or past the sentence end hold PAD."""
+    steps = max(len(stream) - 1, 0)
+    # end (exclusive) of the sentence each stream position belongs to
+    bounds = list(starts) + [len(stream)]
+    ends = np.repeat(bounds[1:], np.diff(bounds))[:steps]
+    pos = np.arange(steps)[:, None] + 1 + np.arange(1, k + 1)[None, :]
+    inside = pos < ends[:, None]
+    return np.where(inside, stream[np.where(inside, pos, 0)], pad)
 
 
 class AlignedNullBatch:

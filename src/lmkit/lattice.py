@@ -20,6 +20,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import interpolate
 
 NEG_INF = float("-inf")
@@ -639,14 +641,125 @@ def rescore_lattice_su(lat, model, n_hist=3, lam=0.3, alpha=0.7,
 
 def rescore_nbest(hyps, lm_fn, ac_scale=1.0, lm_scale=1.0):
     """Replace each hypothesis' lm total with lm_fn(words) and re-rank.
-    The sort is stable, so exact ties keep their incoming order."""
-    out = []
-    for h in hyps:
-        lm = lm_fn(h.words)
-        out.append(Hypothesis(h.words, h.arc_ids, h.ac, lm,
-                              ac_scale * h.ac + lm_scale * lm))
+    When lm_fn has a score_many(word_lists) method, the whole list is scored
+    in one call to it; it must return one total per word list, equal to what
+    lm_fn gives that list alone.  Any other callable is called once per
+    hypothesis.  The sort is stable, so exact ties keep their incoming
+    order."""
+    score_many = getattr(lm_fn, "score_many", None)
+    if score_many is not None:
+        lms = score_many([h.words for h in hyps])
+    else:
+        lms = [lm_fn(h.words) for h in hyps]
+    out = [Hypothesis(h.words, h.arc_ids, h.ac, lm, ac_scale * h.ac + lm_scale * lm)
+           for h, lm in zip(hyps, lms)]
     out.sort(key=lambda h: -h.total)
     return out
+
+
+class TwoStageScorer:
+    """Two-stage hypothesis scorer; see make_two_stage_scorer."""
+
+    def __init__(self, ngram, uni, su=None, config=None, alpha=0.7):
+        if config is None:
+            config = interpolate.InterpConfig()
+        config.validate()
+        self.ngram = ngram
+        self.uni = uni
+        self.su = su
+        self.config = config
+        self.alpha = alpha
+        vocab = uni.vocab
+        skip = {vocab.sent_begin, vocab.null, vocab.pad}
+        self.candidates = [i for i in range(len(vocab.words)) if i not in skip]
+
+    def __call__(self, words):
+        return self.score_many([words])[0]
+
+    def score_many(self, word_lists):
+        """Total score of every word list, in order.  The lists are merged
+        into a prefix trie held only for this call: each model runs one
+        batched step per trie depth over the distinct prefixes there, one
+        output layer over the distinct prefixes (uni) or (prefix, window)
+        pairs (su), and every distinct (prefix, word, window) is combined
+        once."""
+        uni, su = self.uni, self.su
+        vocab = uni.vocab
+        k = su.k if su is not None else 0
+        seqs = [vocab.encode(words) for words in word_lists]
+        # levels[t - 1] holds the prefixes ids[:t] as {(parent row, last
+        # word): row} and their (row, window) pairs as {pair: column}; rows
+        # and columns count up in insertion order
+        levels = []
+        walks = []
+        for ids in seqs:
+            row = 0
+            walk = []
+            for t in range(1, len(ids)):
+                if t > len(levels):
+                    levels.append(({}, {}))
+                rows, pairs = levels[t - 1]
+                row = rows.setdefault((row, ids[t - 1]), len(rows))
+                win = ()
+                if k:
+                    win = tuple(ids[t + 1:t + 1 + k])
+                    win += (vocab.pad,) * (k - len(win))
+                walk.append((row, pairs.setdefault((row, win), len(pairs))))
+            walks.append(walk)
+
+        dists = []
+        h_u = uni.zero_state()[None, :]
+        h_s = su.zero_state()[None, :] if su is not None else None
+        for rows, pairs in levels:
+            parents, words = zip(*rows)
+            h_u = uni.advance_rows(h_u[list(parents)], words)
+            dist_s = None
+            if su is not None:
+                h_s = su.advance_rows(h_s[list(parents)], words)
+                pair_rows, wins = zip(*pairs)
+                dist_s = su.output_dist_rows(
+                    h_s[list(pair_rows)],
+                    np.array(wins, dtype=np.int64) if k else None, self.alpha)
+            dists.append((uni.output_dist_rows(h_u), dist_s))
+
+        cfg = self.config
+        p_ng = {}
+        scores = {}
+        log_zs = {}
+
+        def combined(t, ids, row, col, w):
+            p = p_ng.get((t, row, w))
+            if p is None:
+                p = p_ng[(t, row, w)] = math.exp(self.ngram.logprob(tuple(ids[:t]), w))
+            dist_u, dist_s = dists[t - 1]
+            p_u = math.exp(uni.word_logprob_from_dist(dist_u[row], w))
+            if su is None:
+                return interpolate.safe_ln(interpolate.linear(p, p_u, cfg.lambda1))
+            p_s = math.exp(su.word_logprob_from_dist(dist_s[col], w))
+            return interpolate.two_stage(p, p_u, p_s, cfg)
+
+        totals = []
+        for ids, walk in zip(seqs, walks):
+            total = 0.0
+            for t, (row, col) in enumerate(walk, 1):
+                w = ids[t]
+                score = scores.get((t, col, w))
+                if score is None:
+                    score = combined(t, ids, row, col, w)
+                    if cfg.normalize_locally:
+                        log_z = log_zs.get((t, col))
+                        if log_z is None:
+                            all_scores = [combined(t, ids, row, col, c)
+                                          for c in self.candidates]
+                            log_z = all_scores[0]
+                            for s in all_scores[1:]:
+                                log_z = _logadd(log_z, s)
+                            log_zs[(t, col)] = log_z
+                        score -= log_z
+                    scores[(t, col, w)] = score
+                total += score
+            totals.append(total)
+        return totals
 
 
 def make_two_stage_scorer(ngram, uni, su=None, config=None, alpha=0.7):
@@ -654,42 +767,10 @@ def make_two_stage_scorer(ngram, uni, su=None, config=None, alpha=0.7):
     left-to-right probabilities mix linearly; with a succeeding-word model
     its smoothed probability then mixes in log-linearly.  With
     normalize_locally the combined score is renormalized over the candidate
-    vocabulary at each position."""
-    if config is None:
-        config = interpolate.InterpConfig()
-    config.validate()
-    vocab = uni.vocab
-    skip = {vocab.sent_begin, vocab.null, vocab.pad}
-    candidates = [i for i in range(len(vocab.words)) if i not in skip]
+    vocabulary at each position.
 
-    def combined(hist_ids, w, dist_u, dist_s):
-        p_ng = math.exp(ngram.logprob(hist_ids, w))
-        p_u = math.exp(uni.word_logprob_from_dist(dist_u, w))
-        if su is None:
-            return interpolate.safe_ln(
-                interpolate.linear(p_ng, p_u, config.lambda1))
-        p_s = math.exp(su.word_logprob_from_dist(dist_s, w))
-        return interpolate.two_stage(p_ng, p_u, p_s, config)
-
-    def lm_fn(words):
-        ids = vocab.encode(words)
-        h_u = uni.zero_state()
-        h_s = su.zero_state() if su is not None else None
-        total = 0.0
-        for t in range(1, len(ids)):
-            dist_u, h_u = uni.step(h_u, ids[t - 1])
-            dist_s = None
-            if su is not None:
-                dist_s, h_s = su.step(h_s, ids[t - 1], su._window_ids(ids, t), alpha)
-            score = combined(tuple(ids[:t]), ids[t], dist_u, dist_s)
-            if config.normalize_locally:
-                all_scores = [combined(tuple(ids[:t]), w, dist_u, dist_s)
-                              for w in candidates]
-                log_z = all_scores[0]
-                for s in all_scores[1:]:
-                    log_z = _logadd(log_z, s)
-                score -= log_z
-            total += score
-        return total
-
-    return lm_fn
+    The result is callable as lm_fn(words) and also offers
+    score_many(word_lists), which returns the list of lm_fn(words) for
+    every word list while sharing the work of common prefixes;
+    lm_fn(words) is score_many([words])[0]."""
+    return TwoStageScorer(ngram, uni, su, config, alpha)

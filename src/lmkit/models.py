@@ -115,6 +115,17 @@ class UniRnnlm:
         h_new = self.advance(h, prev_id)
         return self.output_dist(h_new, window, alpha), h_new
 
+    def advance_rows(self, H, ids):
+        """Row-batched advance: row i of the result is advance(H[i], ids[i])."""
+        h_new, _ = self.gru.step(self.emb[np.asarray(ids, dtype=np.int64)], H)
+        return h_new
+
+    def output_dist_rows(self, H, win_rows=None, alpha=1.0):
+        """Row-batched output_dist: `win_rows` is a (B, k) array of
+        succeeding word ids, one window per row of H (None when k is 0)."""
+        ctx, _ = self._context_rows(H, win_rows)
+        return smooth(ctx @ self.out_w.T + self.out_b, alpha)
+
     def word_logprob_from_dist(self, dist, word_id):
         """Log probability of a word id, dividing the out-of-shortlist slot
         mass uniformly over the words it covers."""
@@ -144,6 +155,22 @@ class UniRnnlm:
     # ---- training ----
 
     def _prepare_spliced(self, corpus, num_streams):
+        """Rectangles of the spliced streams: inputs, output slots, valid
+        and reset masks, and the future windows (None when k is 0).  The
+        last result is kept, read-only, because the finite-difference checks
+        call `loss_only` thousands of times on one corpus; a corpus is fixed
+        once built, so identity and stream count are the key."""
+        memo = getattr(self, "_spliced_memo", None)
+        if memo is not None and memo[0] is corpus and memo[1] == num_streams:
+            return memo[2]
+        arrays = self._build_spliced(corpus, num_streams)
+        for arr in arrays:
+            if arr is not None:
+                arr.flags.writeable = False
+        self._spliced_memo = (corpus, num_streams, arrays)
+        return arrays
+
+    def _build_spliced(self, corpus, num_streams):
         batch = make_spliced_batches(corpus, num_streams, future_k=self.k)
         v = self.vocab
         S = batch.num_streams
@@ -179,12 +206,13 @@ class UniRnnlm:
             h_rows[resets[:, t]] = 0.0
             x = self.emb[inputs[:, t]]
             h_new, cache = self.gru.step(x, h_rows)
-            ctx, fcache = self._context_rows(h_new, windows, t)
+            ctx, fcache = self._context_rows(
+                h_new, None if windows is None else windows[:, t])
             logits = ctx @ self.out_w.T + self.out_b
             dist = nn.softmax(logits, axis=1)
             mask = valid[:, t]
             picked = dist[rows, slots[:, t]]
-            loss -= float(np.sum(np.log(picked, where=mask, out=np.zeros(S)) * mask))
+            loss -= float((np.log(picked, where=mask, out=np.zeros(S)) * mask).sum())
             if want_grads:
                 caches.append((cache, ctx, dist, fcache))
             h_rows = h_new
@@ -222,7 +250,7 @@ class UniRnnlm:
         grads["emb"][self.vocab.pad] = 0.0
         return loss, tokens, grads, h_rows
 
-    def _context_rows(self, h_new, windows, t):
+    def _context_rows(self, h_new, win_rows):
         return h_new, None
 
     def _split_context_grad(self, dctx, fcache, grads):
@@ -358,11 +386,15 @@ class SuRnnlm(UniRnnlm):
             return None
         return future_window(self.vocab, ids, t, self.k).ids
 
-    def _context_rows(self, h_new, windows, t):
+    def _context_rows(self, h_new, win_rows):
+        """Context rows [h, f] with f the future vector of each row's (k,)
+        window; also returns what the backward pass needs."""
         if not self.k:
             return h_new, None
         S = h_new.shape[0]
-        flat = self.emb[windows[:, t]].reshape(S, self.k * self.embed)
+        if np.shape(win_rows) != (S, self.k):
+            raise ValueError("need %d succeeding word ids per row" % self.k)
+        flat = self.emb[win_rows].reshape(S, self.k * self.embed)
         f = np.tanh(flat @ self.fut_w.T + self.fut_b)
         return np.concatenate([h_new, f], axis=1), (flat, f)
 
@@ -434,10 +466,8 @@ class BiRnnlm:
 
     def _positions(self, T, lengths):
         # predicted positions are 1..len-1 per row
-        pos_valid = np.zeros((T, len(lengths)), dtype=bool)
-        for i in range(1, T):
-            pos_valid[i] = i <= np.asarray(lengths) - 1
-        return pos_valid
+        steps = np.arange(T)[:, None]
+        return (steps >= 1) & (steps <= np.asarray(lengths) - 1)
 
     def sentence_dists(self, ids, alpha=1.0):
         """Distributions for every predicted position of one encoded sentence."""
@@ -467,12 +497,13 @@ class BiRnnlm:
         S, T = rows.shape
         emb_cells, f_states, f_caches, b_used, b_caches = self._forward_rect(rows, lengths)
         pos_valid = self._positions(T, lengths)
-        grads = nn.zeros_like_params(self.params())
         loss = 0.0
         tokens = 0
         slots = np.minimum(rows, self.vocab.shortlist_size)
-        df_inject = np.zeros((T, S, self.hidden), dtype=self.dtype)
-        db_inject = np.zeros((T, S, self.hidden), dtype=self.dtype)
+        if want_grads:
+            grads = nn.zeros_like_params(self.params())
+            df_inject = np.zeros((T, S, self.hidden), dtype=self.dtype)
+            db_inject = np.zeros((T, S, self.hidden), dtype=self.dtype)
         rng_rows = np.arange(S)
         for i in range(1, T):
             mask = pos_valid[i]
@@ -482,7 +513,7 @@ class BiRnnlm:
             logits = ctx @ self.out_w.T + self.out_b
             dist = nn.softmax(logits, axis=1)
             picked = dist[rng_rows, slots[:, i]]
-            loss -= float(np.sum(np.log(picked, where=mask, out=np.zeros(S)) * mask))
+            loss -= float((np.log(picked, where=mask, out=np.zeros(S)) * mask).sum())
             tokens += int(mask.sum())
             if not want_grads:
                 continue

@@ -19,19 +19,17 @@ def uniform_init(rng, shape, scale=0.1, dtype=np.float64):
 
 
 def sigmoid(x):
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; the two branches are the usual
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below zero
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits, axis=-1):
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    logits = np.asarray(logits)
+    shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def cross_entropy_grad(dist, targets):
@@ -75,8 +73,13 @@ class GruCell:
         """One step over a batch: x (B, D), h_prev (B, H).  Returns h and the
         intermediates `backward` needs."""
         p = self.p
-        z = sigmoid(x @ p["Wz"].T + h_prev @ p["Uz"].T + p["bz"])
-        r = sigmoid(x @ p["Wr"].T + h_prev @ p["Ur"].T + p["br"])
+        # one sigmoid call for both gates: it is elementwise, so each gate
+        # gets exactly the values of its own call
+        zr = sigmoid(np.concatenate(
+            [x @ p["Wz"].T + h_prev @ p["Uz"].T + p["bz"],
+             x @ p["Wr"].T + h_prev @ p["Ur"].T + p["br"]], axis=1))
+        z = zr[:, :self.hidden_size]
+        r = zr[:, self.hidden_size:]
         rh = r * h_prev
         c = np.tanh(x @ p["Wh"].T + rh @ p["Uh"].T + p["bh"])
         h = (1.0 - z) * h_prev + z * c

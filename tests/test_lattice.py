@@ -6,8 +6,8 @@ import pytest
 
 from lmkit.corpus import build_vocabulary
 from lmkit.interpolate import InterpConfig, linear, loglinear_score, safe_ln, two_stage
-from lmkit.lattice import (LM_FLOOR, Arc, Lattice, LatticeError, Node,
-                           ProbCache, arc_posteriors, best_path,
+from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
+                           Node, ProbCache, arc_posteriors, best_path,
                            enumerate_paths, load_slf, make_two_stage_scorer,
                            nbest, parse_slf, path_words, prune, read_nbest,
                            rescore_lattice_su, rescore_lattice_uni,
@@ -414,3 +414,101 @@ def test_two_stage_scorer_matches_manual_walk():
                            math.exp(su.word_logprob_from_dist(ds, ids[t])),
                            cfg)
     assert abs(fn(words) - total) < 1e-9
+
+
+def _scorer_setup():
+    # shortlist of 3 corpus words leaves "y" and "z" out of the shortlist
+    lines = ["u v w x u", "v x w u y", "w u v x z", "x w v u v"]
+    vocab = build_vocabulary(lines, shortlist_size=3)
+    corpus = TokenizedCorpus.from_lines(vocab, lines)
+    ngram = train_kn(corpus, 2)
+    uni = UniRnnlm(vocab, hidden=6, embed=4, seed=31)
+    su1 = SuRnnlm(vocab, hidden=6, embed=4, succ=1, seed=32)
+    su3 = SuRnnlm(vocab, hidden=6, embed=4, succ=3, seed=33)
+    return vocab, ngram, uni, su1, su3
+
+
+# shared prefixes, different lengths, a repeat, an empty hypothesis, an OOV
+# word ("q") and out-of-shortlist words ("y", "z")
+SCORER_HYPS = [["u", "v", "w"], ["u", "v", "x"], ["u", "v", "w", "x", "u", "v"],
+               ["u", "v", "w"], [], ["u", "q", "w"], ["v", "y", "u"],
+               ["u"], ["u", "v", "z", "x"]]
+
+
+def _manual_walk(ngram, uni, su, cfg, alpha, words):
+    """Single-row walk of one hypothesis with its exact future windows; local
+    normalization sums the exponentiated scores of every candidate."""
+    vocab = uni.vocab
+    skip = {vocab.sent_begin, vocab.null, vocab.pad}
+    cands = [i for i in range(len(vocab)) if i not in skip]
+    ids = vocab.encode(words)
+    h_u = uni.zero_state()
+    h_s = su.zero_state() if su is not None else None
+    total = 0.0
+    for t in range(1, len(ids)):
+        du, h_u = uni.step(h_u, ids[t - 1])
+        ds = None
+        if su is not None:
+            win = tuple(ids[t + 1:t + 1 + su.k])
+            win += (vocab.pad,) * (su.k - len(win))
+            ds, h_s = su.step(h_s, ids[t - 1], win if su.k else None, alpha)
+
+        def comb(w):
+            p_ng = math.exp(ngram.logprob(ids[:t], w))
+            p_u = math.exp(uni.word_logprob_from_dist(du, w))
+            if su is None:
+                return safe_ln(linear(p_ng, p_u, cfg.lambda1))
+            p_s = math.exp(su.word_logprob_from_dist(ds, w))
+            return two_stage(p_ng, p_u, p_s, cfg)
+
+        score = comb(ids[t])
+        if cfg.normalize_locally:
+            score -= math.log(sum(math.exp(comb(w)) for w in cands))
+        total += score
+    return total
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("which", ["none", "su1", "su3"])
+def test_score_many_matches_per_hypothesis_and_manual_walk(which, normalize):
+    vocab, ngram, uni, su1, su3 = _scorer_setup()
+    su = {"none": None, "su1": su1, "su3": su3}[which]
+    cfg = InterpConfig(lambda1=0.6, lambda2=0.25, normalize_locally=normalize)
+    fn = make_two_stage_scorer(ngram, uni, su, cfg, alpha=0.7)
+    assert vocab.id_of("q") == vocab.oov
+    assert vocab.is_oos(vocab.id_of("y")) and vocab.is_oos(vocab.id_of("z"))
+    many = fn.score_many(SCORER_HYPS)
+    assert len(many) == len(SCORER_HYPS)
+    assert many[0] == many[3]
+    for words, got in zip(SCORER_HYPS, many):
+        want = _manual_walk(ngram, uni, su, cfg, 0.7, words)
+        assert math.isfinite(got)
+        assert abs(got - fn(words)) <= 1e-9 * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_score_many_of_nothing_is_empty():
+    vocab, ngram, uni, _, su3 = _scorer_setup()
+    assert make_two_stage_scorer(ngram, uni, su3).score_many([]) == []
+    assert rescore_nbest([], make_two_stage_scorer(ngram, uni)) == []
+
+
+def test_rescore_nbest_ranks_alike_with_and_without_score_many():
+    vocab, ngram, uni, _, su3 = _scorer_setup()
+    fn = make_two_stage_scorer(ngram, uni, su3, InterpConfig(0.6, 0.25))
+    calls = []
+
+    def one_at_a_time(words):
+        calls.append(words)
+        return fn(words)
+
+    rng = random.Random(61)
+    hyps = [Hypothesis(w, (), -rng.random() * len(w), 0.0, 0.0)
+            for w in SCORER_HYPS]
+    batched = rescore_nbest(hyps, fn, lm_scale=0.8)
+    single = rescore_nbest(hyps, one_at_a_time, lm_scale=0.8)
+    assert len(calls) == len(hyps)
+    assert [h.words for h in batched] == [h.words for h in single]
+    for a, b in zip(batched, single):
+        assert abs(a.lm - b.lm) <= 1e-9 * max(1.0, abs(b.lm))
+        assert abs(a.total - b.total) <= 1e-9 * max(1.0, abs(b.total))

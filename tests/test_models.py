@@ -197,3 +197,99 @@ def test_su_gradients_match_finite_differences():
     model = SuRnnlm(vocab, hidden=4, embed=3, succ=1, seed=12)
     ok, msg = _fd_check(model, corpus)
     assert ok, msg
+
+
+@pytest.mark.parametrize("succ", [0, 3])
+def test_row_helpers_match_single_row_calls(succ):
+    vocab, _ = tiny_setup(shortlist=2)
+    model = (SuRnnlm(vocab, hidden=8, embed=4, succ=succ, seed=13) if succ
+             else UniRnnlm(vocab, hidden=8, embed=4, seed=13))
+    rng = np.random.default_rng(14)
+    B = 6
+    H = rng.normal(scale=0.5, size=(B, model.hidden))
+    ids = rng.integers(0, len(vocab), size=B)
+    wins = rng.integers(0, len(vocab), size=(B, succ)) if succ else None
+    H_new = model.advance_rows(H, ids)
+    dists = model.output_dist_rows(H_new, wins, 0.7)
+    assert H_new.shape == (B, model.hidden)
+    assert dists.shape == (B, vocab.output_size)
+    for i in range(B):
+        h = model.advance(H[i], ids[i])
+        win = tuple(wins[i]) if succ else None
+        assert np.max(np.abs(H_new[i] - h)) <= 1e-12
+        assert np.max(np.abs(dists[i] - model.output_dist(h, win, 0.7))) <= 1e-12
+
+
+def test_output_dist_rows_checks_window_shape():
+    vocab, _ = tiny_setup()
+    su = SuRnnlm(vocab, hidden=8, embed=4, succ=3, seed=1)
+    H = np.zeros((2, su.hidden))
+    with pytest.raises(ValueError):
+        su.output_dist_rows(H, np.full((2, 2), vocab.pad))
+    with pytest.raises(ValueError):
+        su.output_dist_rows(H, None)
+
+
+def _reference_loss(model, corpus, streams=2):
+    """The forward pass written out step by step, the future vector taken
+    from each step's window column."""
+    inputs, slots, valid, resets, windows = model._prepare_spliced(corpus, streams)
+    S, T = inputs.shape
+    rows = np.arange(S)
+    h = np.zeros((S, model.hidden), dtype=model.dtype)
+    loss = 0.0
+    for t in range(T):
+        h = h.copy()
+        h[resets[:, t]] = 0.0
+        h, _ = model.gru.step(model.emb[inputs[:, t]], h)
+        ctx = h
+        if model.k:
+            flat = model.emb[windows[:, t]].reshape(S, model.k * model.embed)
+            f = np.tanh(flat @ model.fut_w.T + model.fut_b)
+            ctx = np.concatenate([h, f], axis=1)
+        dist = nn.softmax(ctx @ model.out_w.T + model.out_b, axis=1)
+        mask = valid[:, t]
+        picked = dist[rows, slots[:, t]]
+        loss -= float(np.sum(np.log(picked, where=mask, out=np.zeros(S)) * mask))
+    return loss
+
+
+# loss_only and two training epochs on TINY_LINES, recorded before the future
+# vector moved into _context_rows(h, window rows); bitwise on x86-64 OpenBLAS
+PINNED_LOSSES = {
+    0: (55.57591671490268, [2.3156631964542784, 1.6386474182630495]),
+    3: (55.38021110418679, [2.307508796007783, 1.6180574180941971]),
+}
+
+
+@pytest.mark.parametrize("succ", [0, 3])
+def test_training_losses_unchanged_by_row_windows(succ):
+    vocab, corpus = tiny_setup()
+
+    def make():
+        if succ:
+            return SuRnnlm(vocab, hidden=8, embed=4, succ=succ, seed=6)
+        return UniRnnlm(vocab, hidden=8, embed=4, seed=5)
+
+    loss, epochs = PINNED_LOSSES[succ]
+    model = make()
+    assert model.loss_only(corpus, 2) == _reference_loss(model, corpus, 2)
+    assert model.loss_only(corpus, 2) == pytest.approx(loss, rel=1e-12, abs=0)
+    log = make().train(corpus, Hyper(epochs=2, num_streams=2))
+    assert log["epoch_loss"] == pytest.approx(epochs, rel=1e-12, abs=0)
+
+
+def test_spliced_rectangles_are_reused_only_for_the_same_corpus():
+    vocab, corpus = tiny_setup()
+    other = TokenizedCorpus.from_lines(vocab, TINY_LINES[:3])
+
+    def make():
+        return SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=3)
+
+    model = make()
+    first = model._prepare_spliced(corpus, 2)
+    assert model._prepare_spliced(corpus, 2) is first
+    assert not any(arr.flags.writeable for arr in first)
+    # switching corpus or stream count must not reuse stale rectangles
+    for c, streams in ((other, 2), (corpus, 3), (corpus, 2)):
+        assert model.loss_only(c, streams) == make().loss_only(c, streams)
