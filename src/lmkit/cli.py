@@ -207,22 +207,6 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 # ppl
 
-def _two_stage_scorer(arpa, uni, su, cfg, alpha):
-    def fn(ids):
-        h_u = uni.zero_state()
-        h_s = su.zero_state()
-        out = []
-        for t in range(1, len(ids)):
-            dist_u, h_u = uni.step(h_u, ids[t - 1])
-            dist_s, h_s = su.step(h_s, ids[t - 1], su._window_ids(ids, t), alpha)
-            p_ng = math.exp(arpa.logprob(ids[:t], ids[t]))
-            p_u = math.exp(uni.word_logprob_from_dist(dist_u, ids[t]))
-            p_s = math.exp(su.word_logprob_from_dist(dist_s, ids[t]))
-            out.append(interpolate.two_stage(p_ng, p_u, p_s, cfg))
-        return out
-    return fn
-
-
 def _linear_scorer(arpa, model, lam):
     if lam == 0.0:
         return arpa.sentence_word_logprobs
@@ -261,8 +245,10 @@ def cmd_ppl(args):
     cfg = _interp_config(args)
     test = corpus_mod.TokenizedCorpus.from_file(vocab, args.test)
     if su is not None:
+        scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, args.alpha)
+        # one sentence per call keeps the scorer's prefix trie per sentence
         report = evaluate.pseudo_perplexity(
-            _two_stage_scorer(arpa, model, su, cfg, args.alpha), test)
+            lambda ids: scorer.word_scores([ids])[0], test)
     elif arpa is not None and model is not None:
         report = evaluate.perplexity(
             _linear_scorer(arpa, model, args.lambda1), test)

@@ -187,15 +187,15 @@ def future_window(vocab, sentence, t, k):
 class SplicedBatch:
     """Sentences spliced end to end into a fixed number of parallel streams.
 
-    `streams[s]` is an int array of ids, `step_targets[s][t] == streams[s][t+1]`.
-    When built with `future_k > 0`, `step_windows[s]` holds the (T-1, k) window
-    ids aligned with the targets; windows never cross a sentence boundary.
+    `streams[s]` is an int array of ids; step t of a stream predicts
+    `streams[s][t+1]`.  When built with `future_k > 0`, `step_windows[s]`
+    holds the (T-1, k) window ids aligned with those steps; windows never
+    cross a sentence boundary.
     """
 
     def __init__(self, streams, sentence_starts, step_windows=None):
         self.streams = streams
         self.sentence_starts = sentence_starts
-        self.step_targets = [s[1:] for s in streams]
         self.step_windows = step_windows
 
     @property

@@ -677,16 +677,29 @@ class TwoStageScorer:
         return self.score_many([words])[0]
 
     def score_many(self, word_lists):
-        """Total score of every word list, in order.  The lists are merged
-        into a prefix trie held only for this call: each model runs one
-        batched step per trie depth over the distinct prefixes there, one
-        output layer over the distinct prefixes (uni) or (prefix, window)
-        pairs (su), and every distinct (prefix, word, window) is combined
-        once."""
+        """Total score of every word list, in order: the in-order sum of
+        its word_scores."""
+        totals = []
+        for scores in self.word_scores([self.uni.vocab.encode(w) for w in word_lists]):
+            # a plain loop, not sum(): from Python 3.12 sum() compensates
+            # rounding and would change the totals in the last bits
+            total = 0.0
+            for score in scores:
+                total += score
+            totals.append(total)
+        return totals
+
+    def word_scores(self, seqs):
+        """Per-word scores of encoded sentences (begin and end tokens
+        included): one list per sentence, one score per position after the
+        begin token.  The sentences are merged into a prefix trie held only
+        for this call: each model runs one batched step per trie depth over
+        the distinct prefixes there, one output layer over the distinct
+        prefixes (uni) or (prefix, window) pairs (su), and every distinct
+        (prefix, word, window) is combined once."""
         uni, su = self.uni, self.su
         vocab = uni.vocab
         k = su.k if su is not None else 0
-        seqs = [vocab.encode(words) for words in word_lists]
         # levels[t - 1] holds the prefixes ids[:t] as {(parent row, last
         # word): row} and their (row, window) pairs as {pair: column}; rows
         # and columns count up in insertion order
@@ -738,9 +751,9 @@ class TwoStageScorer:
             p_s = math.exp(su.word_logprob_from_dist(dist_s[col], w))
             return interpolate.two_stage(p, p_u, p_s, cfg)
 
-        totals = []
+        out = []
         for ids, walk in zip(seqs, walks):
-            total = 0.0
+            sent_scores = []
             for t, (row, col) in enumerate(walk, 1):
                 w = ids[t]
                 score = scores.get((t, col, w))
@@ -757,9 +770,9 @@ class TwoStageScorer:
                             log_zs[(t, col)] = log_z
                         score -= log_z
                     scores[(t, col, w)] = score
-                total += score
-            totals.append(total)
-        return totals
+                sent_scores.append(score)
+            out.append(sent_scores)
+        return out
 
 
 def make_two_stage_scorer(ngram, uni, su=None, config=None, alpha=0.7):
@@ -772,5 +785,6 @@ def make_two_stage_scorer(ngram, uni, su=None, config=None, alpha=0.7):
     The result is callable as lm_fn(words) and also offers
     score_many(word_lists), which returns the list of lm_fn(words) for
     every word list while sharing the work of common prefixes;
-    lm_fn(words) is score_many([words])[0]."""
+    lm_fn(words) is score_many([words])[0].  word_scores(encoded sentences)
+    gives the per-word scores that score_many sums."""
     return TwoStageScorer(ngram, uni, su, config, alpha)

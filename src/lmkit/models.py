@@ -8,9 +8,11 @@ shortlist plus a single out-of-shortlist slot:
   su:  P(w_t | w_1..w_{t-1}, w_{t+1}..w_{t+k}) from the uni GRU plus a
        feedforward unit over the k succeeding word embeddings.
 
-bi and su scores are unnormalized over sentences, so only per-word pseudo
-perplexity is meaningful for them.  Gradients are hand derived; the trainers
-use plain SGD with global-norm clipping.
+uni is su with k=0: `UniRnnlm` implements both, the future unit guarded by
+`k`, and `SuRnnlm` only sets k.  bi and su scores are unnormalized over
+sentences, so only per-word pseudo perplexity is meaningful for them.
+Gradients are hand derived; all three architectures train through one loop,
+`_sgd_train`: plain SGD with global-norm clipping.
 """
 
 import math
@@ -23,17 +25,9 @@ from . import nn
 from .corpus import Vocabulary, future_window, make_null_aligned_batches, make_spliced_batches
 
 
-@dataclass
-class SmoothingConfig:
-    """Temperature applied to output activations before the softmax."""
-    alpha: float = 0.7
-
-
 def smooth(logits, alpha):
     """Softmax of alpha-scaled activations.  alpha=1 is exactly the softmax;
     smaller alpha flattens the distribution without changing the argmax."""
-    if hasattr(alpha, "alpha"):
-        alpha = alpha.alpha
     logits = np.asarray(logits)
     if alpha == 1.0:
         return nn.softmax(logits)
@@ -54,40 +48,78 @@ def _safe_log(p):
     return math.log(p) if p > 0.0 else float("-inf")
 
 
+def _sgd_train(model, epoch, hyper):
+    """The epoch loop every architecture trains with.  `epoch()` yields
+    (loss, tokens, grads, rows) per update; the summed gradients are divided
+    by the update's rows before the clipped SGD step.  Returns per-epoch mean
+    loss, token counts, and wall-clock words per second."""
+    params = model.params()
+    history = []
+    total_tokens = 0
+    t_start = time.perf_counter()
+    lr = hyper.lr
+    for _ in range(hyper.epochs):
+        ep_loss, ep_tokens = 0.0, 0
+        for loss, tokens, grads, rows in epoch():
+            if not np.isfinite(loss):
+                raise nn.NumericError("non-finite training loss")
+            if tokens:
+                # mean over rows, sum over the steps; clipping tames the rest
+                for g in grads.values():
+                    g /= rows
+                nn.sgd_step(params, grads, lr, hyper.clip)
+            ep_loss += loss
+            ep_tokens += tokens
+        model.emb[model.vocab.pad] = 0.0
+        nn.check_finite(params)
+        history.append(ep_loss / max(ep_tokens, 1))
+        total_tokens += ep_tokens
+        lr *= hyper.lr_decay
+    wall = time.perf_counter() - t_start
+    return {
+        "epoch_loss": history,
+        "tokens": total_tokens,
+        "seconds": wall,
+        "wps": total_tokens / wall if wall > 0 else float("inf"),
+    }
+
+
 class UniRnnlm:
-    """Left-to-right GRU language model."""
+    """Left-to-right GRU language model.  With k > 0 (see SuRnnlm) a tanh
+    feedforward unit over the k succeeding word embeddings joins the GRU
+    state in the output layer's context."""
 
     arch = "uni"
 
     def __init__(self, vocab, hidden=32, embed=16, seed=0, dtype=np.float64):
+        self._build(vocab, hidden, embed, 0, 0, seed, dtype)
+
+    def _build(self, vocab, hidden, embed, k, future_hidden, seed, dtype):
         self.vocab = vocab
         self.hidden = hidden
         self.embed = embed
         self.dtype = dtype
-        self.k = 0
+        self.k = k
+        self.future_hidden = future_hidden
+        # creation order is fixed so equal seeds give equal weights; with k=0
+        # the future unit draws nothing, so su k=0 weights match uni
         rng = np.random.default_rng(seed)
-        self._init_params(rng)
-
-    # parameter creation order is fixed so equal seeds give equal weights
-    def _init_params(self, rng):
-        self.emb = nn.uniform_init(rng, (len(self.vocab), self.embed), dtype=self.dtype)
-        self.emb[self.vocab.pad] = 0.0
-        self.gru = nn.GruCell(self.embed, self.hidden, rng, dtype=self.dtype)
-        self._init_future(rng)
-        out = self.vocab.output_size
-        self.out_w = nn.uniform_init(rng, (out, self.context_size), dtype=self.dtype)
-        self.out_b = nn.uniform_init(rng, (out,), dtype=self.dtype)
-
-    def _init_future(self, rng):
-        pass
-
-    @property
-    def context_size(self):
-        return self.hidden
+        self.emb = nn.uniform_init(rng, (len(vocab), embed), dtype=dtype)
+        self.emb[vocab.pad] = 0.0
+        self.gru = nn.GruCell(embed, hidden, rng, dtype=dtype)
+        if k:
+            self.fut_w = nn.uniform_init(rng, (future_hidden, k * embed), dtype=dtype)
+            self.fut_b = nn.uniform_init(rng, (future_hidden,), dtype=dtype)
+        out = vocab.output_size
+        self.out_w = nn.uniform_init(rng, (out, hidden + future_hidden), dtype=dtype)
+        self.out_b = nn.uniform_init(rng, (out,), dtype=dtype)
 
     def params(self):
         p = {"emb": self.emb, "out.W": self.out_w, "out.b": self.out_b}
         p.update(self.gru.params())
+        if self.k:
+            p["fut.W"] = self.fut_w
+            p["fut.b"] = self.fut_b
         return p
 
     def zero_state(self):
@@ -97,14 +129,15 @@ class UniRnnlm:
         """Consume one word id, returning the next hidden state."""
         return nn.gru_step(self.gru, self.emb[prev_id], h)
 
-    def _future_vec(self, window):
-        return None
-
     def output_logits(self, h, window=None):
+        """Output activations from state h and, when k > 0, the k succeeding
+        word ids in `window`."""
         ctx = h
-        f = self._future_vec(window)
-        if f is not None:
-            ctx = np.concatenate([h, f])
+        if self.k:
+            if window is None or len(window) != self.k:
+                raise ValueError("need %d succeeding word ids" % self.k)
+            flat = self.emb[np.asarray(window, dtype=np.int64)].reshape(-1)
+            ctx = np.concatenate([h, np.tanh(self.fut_w @ flat + self.fut_b)])
         return self.out_w @ ctx + self.out_b
 
     def output_dist(self, h, window=None, alpha=1.0):
@@ -137,7 +170,7 @@ class UniRnnlm:
         return _safe_log(p)
 
     def _window_ids(self, ids, t):
-        return None
+        return future_window(self.vocab, ids, t, self.k).ids if self.k else None
 
     def sentence_word_logprobs(self, ids, alpha=1.0):
         """Natural-log probabilities for every predicted position of one
@@ -251,10 +284,27 @@ class UniRnnlm:
         return loss, tokens, grads, h_rows
 
     def _context_rows(self, h_new, win_rows):
-        return h_new, None
+        """Context rows [h, f] with f the future vector of each row's (k,)
+        window; also returns what the backward pass needs."""
+        if not self.k:
+            return h_new, None
+        S = h_new.shape[0]
+        if np.shape(win_rows) != (S, self.k):
+            raise ValueError("need %d succeeding word ids per row" % self.k)
+        flat = self.emb[win_rows].reshape(S, self.k * self.embed)
+        f = np.tanh(flat @ self.fut_w.T + self.fut_b)
+        return np.concatenate([h_new, f], axis=1), (flat, f)
 
     def _split_context_grad(self, dctx, fcache, grads):
-        return dctx, None
+        """Backward of _context_rows: the state's share of dctx and the
+        gradient of the flattened window embeddings (None when k is 0)."""
+        if not self.k:
+            return dctx, None
+        flat, f = fcache
+        da = dctx[:, self.hidden:] * (1.0 - f * f)
+        grads["fut.W"] += da.T @ flat
+        grads["fut.b"] += da.sum(axis=0)
+        return dctx[:, :self.hidden], da @ self.fut_w
 
     def loss_and_grads(self, corpus, num_streams=2):
         """Total loss and gradients over one full-backprop pass; used by the
@@ -273,45 +323,20 @@ class UniRnnlm:
         return loss
 
     def train(self, corpus, hyper):
-        """SGD over spliced streams with truncated backprop.  Returns per-epoch
-        mean loss, token counts, and wall-clock words per second."""
-        inputs, slots, valid, resets, windows = self._prepare_spliced(
-            corpus, hyper.num_streams)
-        S, width = inputs.shape
+        """SGD over spliced streams with truncated backprop, one update per
+        `hyper.bptt` steps of every stream; see _sgd_train for the result."""
+        rects = self._prepare_spliced(corpus, hyper.num_streams)
+        S, width = rects[0].shape
         span = hyper.bptt or width
-        params = self.params()
-        history = []
-        total_tokens = 0
-        t_start = time.perf_counter()
-        lr = hyper.lr
-        for epoch in range(hyper.epochs):
+
+        def epoch():
             h = np.zeros((S, self.hidden), dtype=self.dtype)
-            ep_loss, ep_tokens = 0.0, 0
             for t0 in range(0, width, span):
-                t1 = min(t0 + span, width)
                 loss, tokens, grads, h = self._forward_backward(
-                    inputs, slots, valid, resets, windows, t0, t1, h)
-                if not np.isfinite(loss):
-                    raise nn.NumericError("non-finite training loss")
-                if tokens:
-                    # mean over streams, sum over the span; clipping tames the rest
-                    for g in grads.values():
-                        g /= S
-                    nn.sgd_step(params, grads, lr, hyper.clip)
-                ep_loss += loss
-                ep_tokens += tokens
-            self.emb[self.vocab.pad] = 0.0
-            nn.check_finite(params)
-            history.append(ep_loss / max(ep_tokens, 1))
-            total_tokens += ep_tokens
-            lr *= hyper.lr_decay
-        wall = time.perf_counter() - t_start
-        return {
-            "epoch_loss": history,
-            "tokens": total_tokens,
-            "seconds": wall,
-            "wps": total_tokens / wall if wall > 0 else float("inf"),
-        }
+                    *rects, t0, min(t0 + span, width), h)
+                yield loss, tokens, grads, S
+
+        return _sgd_train(self, epoch, hyper)
 
     # ---- persistence ----
 
@@ -323,7 +348,7 @@ class UniRnnlm:
             "embed": self.embed,
             "hidden": self.hidden,
             "succ": self.k,
-            "future_hidden": getattr(self, "future_hidden", 0),
+            "future_hidden": self.future_hidden,
             "dtype": str(np.dtype(self.dtype)),
             "words": self.vocab.words,
         }
@@ -346,68 +371,11 @@ class SuRnnlm(UniRnnlm):
 
     def __init__(self, vocab, hidden=32, embed=16, succ=1, future_hidden=None,
                  seed=0, dtype=np.float64):
-        self.k = succ
-        self.future_hidden = (hidden if future_hidden is None else future_hidden) if succ else 0
-        # base init consumes the rng in the same order, so k=0 weights match uni
-        self.vocab = vocab
-        self.hidden = hidden
-        self.embed = embed
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        self._init_params(rng)
-
-    def _init_future(self, rng):
-        if self.k:
-            self.fut_w = nn.uniform_init(rng, (self.future_hidden, self.k * self.embed),
-                                         dtype=self.dtype)
-            self.fut_b = nn.uniform_init(rng, (self.future_hidden,), dtype=self.dtype)
-
-    @property
-    def context_size(self):
-        return self.hidden + self.future_hidden
-
-    def params(self):
-        p = super().params()
-        if self.k:
-            p["fut.W"] = self.fut_w
-            p["fut.b"] = self.fut_b
-        return p
-
-    def _future_vec(self, window):
-        if not self.k:
-            return None
-        if window is None or len(window) != self.k:
-            raise ValueError("need %d succeeding word ids" % self.k)
-        flat = self.emb[np.asarray(window, dtype=np.int64)].reshape(-1)
-        return np.tanh(self.fut_w @ flat + self.fut_b)
-
-    def _window_ids(self, ids, t):
-        if not self.k:
-            return None
-        return future_window(self.vocab, ids, t, self.k).ids
-
-    def _context_rows(self, h_new, win_rows):
-        """Context rows [h, f] with f the future vector of each row's (k,)
-        window; also returns what the backward pass needs."""
-        if not self.k:
-            return h_new, None
-        S = h_new.shape[0]
-        if np.shape(win_rows) != (S, self.k):
-            raise ValueError("need %d succeeding word ids per row" % self.k)
-        flat = self.emb[win_rows].reshape(S, self.k * self.embed)
-        f = np.tanh(flat @ self.fut_w.T + self.fut_b)
-        return np.concatenate([h_new, f], axis=1), (flat, f)
-
-    def _split_context_grad(self, dctx, fcache, grads):
-        if not self.k:
-            return dctx, None
-        dh = dctx[:, :self.hidden]
-        df = dctx[:, self.hidden:]
-        flat, f = fcache
-        da = df * (1.0 - f * f)
-        grads["fut.W"] += da.T @ flat
-        grads["fut.b"] += da.sum(axis=0)
-        return dh, da @ self.fut_w
+        if not succ:
+            future_hidden = 0
+        elif future_hidden is None:
+            future_hidden = hidden
+        self._build(vocab, hidden, embed, succ, future_hidden, seed, dtype)
 
 
 class BiRnnlm:
@@ -479,13 +447,11 @@ class BiRnnlm:
             out.append(smooth(self.out_w @ ctx + self.out_b, alpha))
         return out
 
-    def word_logprob_from_dist(self, dist, word_id):
-        p = dist[self.vocab.output_index(word_id)]
-        if self.vocab.is_oos(word_id):
-            if self.vocab.n_oos == 0:
-                return float("-inf")
-            return _safe_log(p) - math.log(self.vocab.n_oos)
-        return _safe_log(p)
+    # the same word lookup and container code as uni, bound here so each
+    # name stays an own attribute of this class
+    word_logprob_from_dist = UniRnnlm.word_logprob_from_dist
+    save = UniRnnlm.save
+    _restore = UniRnnlm._restore
 
     def sentence_word_logprobs(self, ids, alpha=1.0):
         dists = self.sentence_dists(ids, alpha)
@@ -567,36 +533,15 @@ class BiRnnlm:
         return total
 
     def train(self, corpus, hyper):
+        """SGD over NULL-aligned batches of `hyper.num_streams` sentences, one
+        update per batch; see _sgd_train for the result."""
         batches = make_null_aligned_batches(corpus, hyper.num_streams)
-        params = self.params()
-        history = []
-        total_tokens = 0
-        t_start = time.perf_counter()
-        lr = hyper.lr
-        for epoch in range(hyper.epochs):
-            ep_loss, ep_tokens = 0.0, 0
+
+        def epoch():
             for batch in batches:
-                loss, tokens, grads = self.loss_and_grads_batch(batch)
-                if not np.isfinite(loss):
-                    raise nn.NumericError("non-finite training loss")
-                if tokens:
-                    for g in grads.values():
-                        g /= batch.num_rows
-                    nn.sgd_step(params, grads, lr, hyper.clip)
-                ep_loss += loss
-                ep_tokens += tokens
-            self.emb[self.vocab.pad] = 0.0
-            nn.check_finite(params)
-            history.append(ep_loss / max(ep_tokens, 1))
-            total_tokens += ep_tokens
-            lr *= hyper.lr_decay
-        wall = time.perf_counter() - t_start
-        return {
-            "epoch_loss": history,
-            "tokens": total_tokens,
-            "seconds": wall,
-            "wps": total_tokens / wall if wall > 0 else float("inf"),
-        }
+                yield (*self.loss_and_grads_batch(batch), batch.num_rows)
+
+        return _sgd_train(self, epoch, hyper)
 
     def _header(self):
         return {
@@ -609,27 +554,6 @@ class BiRnnlm:
             "dtype": str(np.dtype(self.dtype)),
             "words": self.vocab.words,
         }
-
-    def save(self, path):
-        nn.save_model(path, self._header(), self.params())
-
-    def _restore(self, tensors):
-        for name, arr in self.params().items():
-            if name not in tensors or tensors[name].shape != arr.shape:
-                raise ValueError("model container missing tensor %s" % name)
-            arr[...] = tensors[name]
-
-
-def train_uni(model, corpus, hyper):
-    return model.train(corpus, hyper)
-
-
-def train_su(model, corpus, hyper):
-    return model.train(corpus, hyper)
-
-
-def train_bi(model, corpus, hyper):
-    return model.train(corpus, hyper)
 
 
 def load_rnnlm(path):

@@ -2,12 +2,16 @@
 
 import contextlib
 import io
+import math
 import os
 
 import numpy as np
 import pytest
 
-from lmkit import cli
+from lmkit import cli, models, ngram
+from lmkit.corpus import TokenizedCorpus, future_window
+from lmkit.interpolate import InterpConfig, two_stage
+from lmkit.lattice import make_two_stage_scorer
 
 
 def run(argv):
@@ -202,6 +206,42 @@ def test_ppl_labels_and_identities(ws, tmp_path):
     n_sent = int(text[0].split()[1])
     assert len(text) == 4 + n_sent
     assert text[4].startswith("sent 0 ")
+
+
+def test_ppl_two_stage_matches_step_by_step_walk(ws, tmp_path):
+    """ppl --su-model scores through the n-best two-stage scorer; per word it
+    matches a single-row walk of both models with each position's window."""
+    fx = ws / "fx"
+    uni = models.load_rnnlm(str(ws / "uni.model"))
+    su = models.load_rnnlm(str(ws / "su1.model"))
+    vocab = uni.vocab
+    arpa = ngram.load_arpa(str(fx / "baseline.arpa"), vocab)
+    cfg = InterpConfig(lambda1=0.6, lambda2=0.25)
+    test = TokenizedCorpus.from_file(vocab, str(fx / "test.txt"))
+    scorer = make_two_stage_scorer(arpa, uni, su, cfg, 0.7)
+    out = run_ok(["ppl", "--test", fx / "test.txt", "--model", ws / "uni.model",
+                  "--arpa", fx / "baseline.arpa", "--su-model", ws / "su1.model",
+                  "--lambda1", 0.6, "--lambda2", 0.25, "--alpha", 0.7,
+                  "--report", tmp_path / "rep.txt"])
+    rows = (tmp_path / "rep.txt").read_text().splitlines()[4:]
+    assert len(rows) == len(test.sentences)
+    for ids, row in zip(test.sentences, rows):
+        want = []
+        h_u, h_s = uni.zero_state(), su.zero_state()
+        for t in range(1, len(ids)):
+            dist_u, h_u = uni.step(h_u, ids[t - 1])
+            win = future_window(vocab, ids, t, su.k).ids
+            dist_s, h_s = su.step(h_s, ids[t - 1], win, 0.7)
+            want.append(two_stage(math.exp(arpa.logprob(ids[:t], ids[t])),
+                                  math.exp(uni.word_logprob_from_dist(dist_u, ids[t])),
+                                  math.exp(su.word_logprob_from_dist(dist_s, ids[t])),
+                                  cfg))
+        got = scorer.word_scores([ids])[0]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+        assert abs(float(row.split()[2]) - sum(want)) <= 1e-6 + 1e-9 * abs(sum(want))
+    assert "pseudo_ppl:" in out
 
 
 def test_rescore_transcripts_and_wer(ws, tmp_path):

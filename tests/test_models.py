@@ -137,9 +137,36 @@ def test_bi_scores_every_position_from_both_contexts():
 def test_bi_training_runs_and_logs():
     vocab, corpus = tiny_setup()
     model = BiRnnlm(vocab, hidden=8, embed=4, seed=4)
+    # recorded before bi shared the uni epoch loop; bitwise on x86-64 OpenBLAS
+    assert model.loss_only(corpus, 2) == pytest.approx(55.38084216746678, rel=1e-12, abs=0)
     log = model.train(corpus, Hyper(epochs=2, num_streams=2))
-    assert len(log["epoch_loss"]) == 2
-    assert all(math.isfinite(x) for x in log["epoch_loss"])
+    assert log["epoch_loss"] == pytest.approx([2.0800525708536033, 1.6042351617635509],
+                                              rel=1e-12, abs=0)
+    assert log["tokens"] == 2 * corpus.word_count
+
+
+def _gru_shapes(prefix):
+    shapes = {"Uh": [8, 8], "Ur": [8, 8], "Uz": [8, 8], "Wh": [8, 4], "Wr": [8, 4],
+              "Wz": [8, 4], "bh": [8], "br": [8], "bz": [8]}
+    return {prefix + "." + name: shape for name, shape in shapes.items()}
+
+
+# the container header `save` writes for the round-trip models, less the word
+# list, and the tensor shapes of its manifest; uni and su carry future_hidden,
+# bi does not, so files saved by earlier versions keep loading alike
+PINNED_HEADERS = {
+    "uni": ({"arch": "uni", "dtype": "float64", "embed": 4, "future_hidden": 0,
+             "hidden": 8, "shortlist_size": 8, "succ": 0, "vocab_size": 9},
+            {"emb": [9, 4], "out.W": [9, 8], "out.b": [9], **_gru_shapes("gru")}),
+    "su": ({"arch": "su", "dtype": "float64", "embed": 4, "future_hidden": 8,
+            "hidden": 8, "shortlist_size": 8, "succ": 2, "vocab_size": 9},
+           {"emb": [9, 4], "fut.W": [8, 8], "fut.b": [8], "out.W": [9, 16],
+            "out.b": [9], **_gru_shapes("gru")}),
+    "bi": ({"arch": "bi", "dtype": "float64", "embed": 4, "hidden": 8,
+            "shortlist_size": 8, "succ": 0, "vocab_size": 9},
+           {"emb": [9, 4], "out.W": [9, 16], "out.b": [9], **_gru_shapes("gru_f"),
+            **_gru_shapes("gru_b")}),
+}
 
 
 def test_save_load_round_trip_preserves_scores(tmp_path):
@@ -149,6 +176,13 @@ def test_save_load_round_trip_preserves_scores(tmp_path):
                   BiRnnlm(vocab, 8, 4, seed=8)):
         path = str(tmp_path / ("%s.bin" % model.arch))
         model.save(path)
+        header, _ = nn.load_model(path)
+        assert header.pop("words") == vocab.words
+        want_header, want_shapes = PINNED_HEADERS[model.arch]
+        assert header.pop("tensors") == [
+            {"dtype": "float64", "name": name, "shape": want_shapes[name]}
+            for name in sorted(want_shapes)]
+        assert header == want_header
         back = load_rnnlm(path)
         assert back.arch == model.arch
         assert back.vocab.words == vocab.words
