@@ -39,6 +39,9 @@ class Vocabulary:
             if tok not in self.index:
                 raise CorpusError("missing reserved token: %r" % tok)
         self.shortlist_size = shortlist_size
+        # number of words that share the out-of-shortlist output slot; the
+        # word list is fixed once built, so this is counted once
+        self.n_oos = len(self.words) - shortlist_size
         self.sent_begin = self.index[SENT_BEGIN]
         self.sent_end = self.index[SENT_END]
         self.oov = self.index[OOV]
@@ -52,11 +55,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.words)
-
-    @property
-    def n_oos(self):
-        """Number of words that share the out-of-shortlist output slot."""
-        return len(self.words) - self.shortlist_size
 
     @property
     def output_size(self):

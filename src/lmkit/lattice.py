@@ -13,6 +13,18 @@ A model that also reads succeeding words gets states extended with the
 pending window of the next k words; a state is only continued along arcs
 that realize the words it promised, and the output lattice expands to keep
 those promises distinct.
+
+Rescoring walks the nodes in topological order and batches each node's
+model work.  An arrival that improves a state only records its parent's
+hidden vector and its last word.  When the node is reached, only the
+surviving arrival of each state is advanced, in one model call over the
+distinct word sequences the cache lacks.  Then the node's transitions
+(state, arc, window) are collected in relaxation order, the distinct
+(sequence, window) distributions the cache lacks are computed in one call,
+and the transitions relax in that order with a strict comparison, as a
+per-arc loop would.  The model's stacked calls are row exact (a row's bytes
+never depend on the other rows of its batch), so the output depends
+neither on how rows were batched nor on whether a cache was used.
 """
 
 import heapq
@@ -449,7 +461,16 @@ class ProbCache:
     """Memo for hidden states and output distributions during rescoring.
     Hidden states are keyed by the exact word-id sequence consumed so far,
     distributions additionally by the succeeding-word window.  A hit returns
-    the identical array, so cached and uncached runs give the same bytes."""
+    the identical array it stored.
+
+    Misses are computed in batches, and which rows share a batch depends on
+    what the cache already held; the model's stacked calls are row exact
+    (row i has the bytes of the call on row i alone), so a vector has the
+    same bytes from a hit, a batch of misses, or an uncached run, and cached
+    and uncached rescoring write the same lattices.  Hidden vectors are
+    looked up once per distinct word sequence at a node.  Distributions are
+    looked up once per transition, and a key repeated within one node's
+    batch is a hit after its first miss, as in a one-at-a-time loop."""
 
     def __init__(self):
         self.h = {}
@@ -458,32 +479,91 @@ class ProbCache:
         self.dist_hits = self.dist_misses = 0
 
 
-def _state_h(model, cache, full, h_prev, w):
-    if cache is None:
-        return model.advance(h_prev, w)
-    h = cache.h.get(full)
-    if h is None:
-        cache.h_misses += 1
-        h = model.advance(h_prev, w)
-        cache.h[full] = h
-    else:
-        cache.h_hits += 1
-    return h
+def _stack(rows):
+    # np.stack's checks cost more than the model call on a node's few rows
+    return np.concatenate(rows).reshape(len(rows), -1)
 
 
-def _state_dist(model, cache, full, window, h, alpha):
-    win = window if model.k else None
-    if cache is None:
-        return model.output_dist(h, win, alpha)
-    key = (full, window)
-    dist = cache.dist.get(key)
-    if dist is None:
-        cache.dist_misses += 1
-        dist = model.output_dist(h, win, alpha)
-        cache.dist[key] = dist
+def _fill_hidden(model, cache, here):
+    """Give every state at a node, (key, state) pairs in `here`, its hidden
+    vector: the parent's vector advanced by the state's last word, in one
+    model call over the distinct word sequences the cache lacks."""
+    memo = cache.h if cache is not None else {}
+    if len(here) == 1:
+        # most nodes hold one state: no batch to assemble
+        st = here[0][1]
+        st.h = memo.get(st.full)
+        hit = st.h is not None
+        if not hit:
+            st.h = memo[st.full] = model.advance(st.h_prev, st.full[-1])
+        if cache is not None:
+            cache.h_hits += hit
+            cache.h_misses += not hit
+        return
+    todo = {}   # word sequence -> states waiting for its hidden vector
+    hits = 0
+    for _, st in here:
+        group = todo.get(st.full)
+        if group is not None:
+            group.append(st)
+            continue
+        st.h = memo.get(st.full)
+        if st.h is None:
+            todo[st.full] = [st]
+        else:
+            hits += 1
+    if cache is not None:
+        cache.h_hits += hits
+        cache.h_misses += len(todo)
+    if not todo:
+        return
+    if len(todo) == 1:
+        ((full, group),) = todo.items()
+        hs = (model.advance(group[0].h_prev, full[-1]),)
     else:
-        cache.dist_hits += 1
-    return dist
+        hs = model.advance(_stack([group[0].h_prev for group in todo.values()]),
+                           [full[-1] for full in todo])
+    for (full, group), h in zip(todo.items(), hs):
+        memo[full] = h
+        for st in group:
+            st.h = h
+
+
+def _output_dists(model, cache, moves, alpha):
+    """The output distribution of every move, whose first two fields are
+    its (word sequence, window) key and its state, in one model call over
+    the distinct keys the cache lacks."""
+    memo = cache.dist if cache is not None else {}
+    if len(moves) == 1:
+        # one transition: no batch to assemble
+        key, st = moves[0][0], moves[0][1]
+        dist = memo.get(key)
+        hit = dist is not None
+        if not hit:
+            dist = memo[key] = model.output_dist(st.h, key[1] if model.k else None,
+                                                 alpha)
+        if cache is not None:
+            cache.dist_hits += hit
+            cache.dist_misses += not hit
+        return (dist,)
+    todo = {}   # key -> hidden vector, for the keys to compute
+    hits = 0
+    for m in moves:
+        if m[0] in todo or m[0] in memo:
+            hits += 1
+        else:
+            todo[m[0]] = m[1].h
+    if cache is not None:
+        cache.dist_hits += hits
+        cache.dist_misses += len(todo)
+    if len(todo) == 1:
+        ((key, h),) = todo.items()
+        memo[key] = model.output_dist(h, key[1] if model.k else None, alpha)
+    elif todo:
+        wins = np.array([key[1] for key in todo]) if model.k else None
+        memo.update(zip(todo, model.output_dist(_stack(list(todo.values())),
+                                                wins, alpha)))
+    return [memo[m[0]] for m in moves]
 
 
 def _future_sets(lat, word_ids, k, pad_id):
@@ -510,14 +590,19 @@ def _trunc_hist(seq, n_hist):
 
 
 class _State:
-    __slots__ = ("g", "ac", "lm", "h", "full")
+    """The best arrival so far at one (node, history, window) key.  Its
+    hidden vector h is only computed once the node is reached, from the
+    parent's vector h_prev and the last word of `full`."""
 
-    def __init__(self, g, ac, lm, h, full):
+    __slots__ = ("g", "ac", "lm", "full", "h_prev", "h")
+
+    def __init__(self, g, ac, lm, full, h_prev):
         self.g = g
         self.ac = ac
         self.lm = lm
-        self.h = h
         self.full = full
+        self.h_prev = h_prev
+        self.h = None
 
 
 def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
@@ -531,15 +616,23 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
 
     full0 = (vocab.sent_begin,)
     hist0 = full0 if no_merge else _trunc_hist(full0, n_hist)
-    h0 = _state_h(model, cache, full0, model.zero_state(), vocab.sent_begin)
     key0 = (hist0, None)
     final_key = (None, None)
     states = [dict() for _ in lat.nodes]
-    states[lat.initial][key0] = _State(0.0, 0.0, 0.0, h0, full0)
+    states[lat.initial][key0] = _State(0.0, 0.0, 0.0, full0, model.zero_state())
     transitions = []
 
     for u in lat.topo:
-        for skey, st in sorted(states[u].items(), key=lambda kv: kv[0]):
+        # the final node has no arcs to follow, so its states need no vector
+        if u == lat.final or not states[u]:
+            continue
+        here = sorted(states[u].items(), key=lambda kv: kv[0])
+        _fill_hidden(model, cache, here)
+        # every transition out of u, in the order they relax:
+        # ((word sequence, window), state, state key, arc, word, next sequence,
+        #  next history)
+        moves = []
+        for skey, st in here:
             fut = skey[1]
             for aid in lat.out_arcs[u]:
                 a = lat.arcs[aid]
@@ -556,16 +649,17 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
                 full_v = st.full + (w,)
                 hist_v = full_v if no_merge else _trunc_hist(full_v, n_hist)
                 for fut_v in cand:
-                    dist = _state_dist(model, cache, st.full, fut_v, st.h, alpha)
-                    new_lm = combine(a.lm, model.word_logprob_from_dist(dist, w))
-                    dkey = final_key if a.end == lat.final else (hist_v, fut_v)
-                    transitions.append((u, skey, a.end, dkey, aid, new_lm))
-                    g = st.g + ac_scale * a.ac + lm_scale * new_lm
-                    cur = states[a.end].get(dkey)
-                    if cur is None or g > cur.g:
-                        h_v = _state_h(model, cache, full_v, st.h, w)
-                        states[a.end][dkey] = _State(g, st.ac + a.ac,
-                                                     st.lm + new_lm, h_v, full_v)
+                    moves.append(((st.full, fut_v), st, skey, a, w, full_v, hist_v))
+        dists = _output_dists(model, cache, moves, alpha)
+        for (key, st, skey, a, w, full_v, hist_v), dist in zip(moves, dists):
+            new_lm = combine(a.lm, model.word_logprob_from_dist(dist, w))
+            dkey = final_key if a.end == lat.final else (hist_v, key[1])
+            transitions.append((u, skey, a.end, dkey, a.id, new_lm))
+            g = st.g + ac_scale * a.ac + lm_scale * new_lm
+            cur = states[a.end].get(dkey)
+            if cur is None or g > cur.g:
+                states[a.end][dkey] = _State(g, st.ac + a.ac, st.lm + new_lm,
+                                             full_v, st.h)
 
     node_ids = {(lat.initial, key0): 0}
     origin = [(lat.initial, hist0, None)]

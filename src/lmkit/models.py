@@ -126,21 +126,28 @@ class UniRnnlm:
         return np.zeros(self.hidden, dtype=self.dtype)
 
     def advance(self, h, prev_id):
-        """Consume one word id, returning the next hidden state."""
+        """Consume one word id, returning the next hidden state.  A stack of
+        states (B, H) with B word ids gives the B next states; row i equals
+        the call on row i alone."""
         return nn.gru_step(self.gru, self.emb[prev_id], h)
 
     def output_logits(self, h, window=None):
         """Output activations from state h and, when k > 0, the k succeeding
-        word ids in `window`."""
-        ctx = h
+        word ids in `window`.  A stack of states (B, H) takes a (B, k) stack
+        of windows, and row i equals the call on row i alone."""
+        ctx = h if h.ndim == 1 else nn.row_views(h)
         if self.k:
-            if window is None or len(window) != self.k:
+            ids = None if window is None else np.asarray(window, dtype=np.int64)
+            if ids is None or ids.shape != h.shape[:-1] + (self.k,):
                 raise ValueError("need %d succeeding word ids" % self.k)
-            flat = self.emb[np.asarray(window, dtype=np.int64)].reshape(-1)
-            ctx = np.concatenate([h, np.tanh(self.fut_w @ flat + self.fut_b)])
-        return self.out_w @ ctx + self.out_b
+            flat = self.emb[ids].reshape(ctx.shape[:-1] + (-1,))
+            f = np.tanh(flat @ self.fut_w.T + self.fut_b)
+            ctx = np.concatenate([ctx, f], axis=-1)
+        logits = ctx @ self.out_w.T + self.out_b
+        return logits if h.ndim == 1 else logits[:, 0]
 
     def output_dist(self, h, window=None, alpha=1.0):
+        """Smoothed output distribution; stacks as in output_logits."""
         return smooth(self.output_logits(h, window), alpha)
 
     def step(self, h, prev_id, window=None, alpha=1.0):

@@ -71,15 +71,16 @@ class GruCell:
 
     def step(self, x, h_prev):
         """One step over a batch: x (B, D), h_prev (B, H).  Returns h and the
-        intermediates `backward` needs."""
+        intermediates `backward` needs.  The equations act on the last axis,
+        so one row (1-d) or a stack of row_views works the same way."""
         p = self.p
         # one sigmoid call for both gates: it is elementwise, so each gate
         # gets exactly the values of its own call
         zr = sigmoid(np.concatenate(
             [x @ p["Wz"].T + h_prev @ p["Uz"].T + p["bz"],
-             x @ p["Wr"].T + h_prev @ p["Ur"].T + p["br"]], axis=1))
-        z = zr[:, :self.hidden_size]
-        r = zr[:, self.hidden_size:]
+             x @ p["Wr"].T + h_prev @ p["Ur"].T + p["br"]], axis=-1))
+        z = zr[..., :self.hidden_size]
+        r = zr[..., self.hidden_size:]
         rh = r * h_prev
         c = np.tanh(x @ p["Wh"].T + rh @ p["Uh"].T + p["bh"])
         h = (1.0 - z) * h_prev + z * c
@@ -116,10 +117,22 @@ class GruCell:
         return dx, dh_prev
 
 
+def row_views(a):
+    """A stack of rows (B, D) viewed as (B, 1, D).  Its product with a
+    matrix is B vector-matrix products, so row i of the result has the bytes
+    of the product on a[i] alone.  A 2-d product lets BLAS block rows
+    together, and the rounding of each row then depends on the rows around
+    it.  Index the result with [:, 0] to get the (B, ...) stack back."""
+    return a[:, None, :]
+
+
 def gru_step(cell, x, h_prev):
-    """Single unbatched step, 1-d in and out."""
-    h, _ = cell.step(x[None, :], h_prev[None, :])
-    return h[0]
+    """Unbatched step: x (D,) and h_prev (H,) give h (H,).  Stacks x (B, D)
+    and h_prev (B, H) give (B, H), and row i equals the call on row i
+    alone, whatever the other rows are."""
+    if x.ndim == 1:
+        return cell.step(x, h_prev)[0]
+    return cell.step(row_views(x), row_views(h_prev))[0][:, 0]
 
 
 def global_norm(grads):

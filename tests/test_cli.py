@@ -274,6 +274,24 @@ def test_rescore_transcripts_and_wer(ws, tmp_path):
     assert out_su.splitlines()[-1].startswith("wer ")
 
 
+def test_parallel_su_rescore_matches_serial_bytes(ws, tmp_path):
+    # each worker fills its own copy of the caches, so the rows batched
+    # together differ from the serial run's; the output must not
+    fx = ws / "fx"
+    args = ["rescore", "--lattices", fx / "lattices", "--model", ws / "uni.model",
+            "--su-model", ws / "su1.model", "--refs", fx / "refs.txt"]
+    serial = run_ok(args + ["--out-dir", tmp_path / "serial"])
+    parallel = run_ok(args + ["--out-dir", tmp_path / "parallel", "--jobs", 2])
+    assert parallel == serial
+    assert serial.splitlines()[-1].startswith("wer ")
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert len(names) == 12
+    assert sorted(os.listdir(tmp_path / "parallel")) == names
+    for name in names:
+        assert ((tmp_path / "parallel" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
+
+
 def test_nbest_extract_and_rerank(ws, tmp_path):
     fx = ws / "fx"
     nb = tmp_path / "utt.nbest"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -370,6 +371,57 @@ def test_cache_does_not_change_output_and_gets_hits():
     warm2 = rescore_lattice_su(lat, su1, cache=cache)
     assert write_slf(cold) == write_slf(warm1) == write_slf(warm2)
     assert cache.dist_hits > 0 and cache.h_hits > 0
+
+
+# sha256 of the write_slf texts of the six PINNED_SEED lattices, joined in
+# order, as the per-arc rescoring loop wrote them before lattices were
+# rescored node by node; the texts print scores to six decimals
+PINNED_SEED = 61
+PINNED_SLF_SHA256 = {
+    ("uni", "n2", "linear"): "990deb079fc039e261e6d7025346530fc2c71d709dd76cf6a0265e0f7ebf8917",
+    ("uni", "n2", "loglinear"): "ed4ecce628f3dfe79d6c5ee7be3481a2353393e3ffd01647f95c1b007b3e9905",
+    ("uni", "n3", "linear"): "cdd10f064d5b2a0562a490aa6abb60696de890328a98a3d881063891e7b01d4c",
+    ("uni", "n3", "loglinear"): "254107d55df1eec71631d4e8582da8e90226642a17005f03335ab1d58e826b7b",
+    ("uni", "full", "linear"): "e7d8cf2d7a72c65ca6b4dcf8558d6b0bd859932ee38069ac7500b0f9e318b25b",
+    ("uni", "full", "loglinear"): "dac9918af2654f18766a9fc1344009514ebab07d22c376f3670654cd6b1ab849",
+    ("su1", "n2", "linear"): "176348b0278569d20c071d1b4c7261460552712f96d43daa676970ea8c1c1e79",
+    ("su1", "n2", "loglinear"): "cddc136243440d062376ed976f1339b3557a34659d1747b8f6ab65fee3312cf1",
+    ("su1", "n3", "linear"): "4edbc8219fea8bcfc15a9d7ce113609592b45141c43d60a89c669b57dbab12ba",
+    ("su1", "n3", "loglinear"): "3065e34e6b9123378d746cb8568ba61381e011a5397a4ec58985fb840847a310",
+    ("su1", "full", "linear"): "1597d997c9337a7420dea0e486192eb439946283aa8ad9602cb6cb60c30a4b1e",
+    ("su1", "full", "loglinear"): "afdce47717c0861e4e5723ad1d978ac11961237f42dd8dfa9d536884925256fb",
+    ("su2", "n2", "linear"): "189a5ef3e5fc55002536411f88264eb03d6b86602cbe2801356ed4425d34264e",
+    ("su2", "n2", "loglinear"): "6cc6b04b1c5a5e32dabc9534a58abafd6432038897a4602a4c9f06afb2dcb61b",
+    ("su2", "n3", "linear"): "0d655f919f785da3fdc6921f146205554f881f581a78979fbc5353efcf116e3a",
+    ("su2", "n3", "loglinear"): "89a071671a9945904077341c3ef26933f853d6a73d589084e0e1335a978b78da",
+    ("su2", "full", "linear"): "d6098923b08540e18dd9d5addd6510f0f8615726c7c0600f4596c826ea620bf7",
+    ("su2", "full", "loglinear"): "1ad248cfec75bfb0301998c46106f48c203910c7c8ebcc09cf81a91e03afced6",
+}
+MERGE_ARGS = {"n2": {"n_hist": 2}, "n3": {"n_hist": 3}, "full": {"no_merge": True}}
+
+
+@pytest.mark.parametrize("name,merge,combine", sorted(PINNED_SLF_SHA256))
+def test_rescoring_bytes_match_pinned_texts(name, merge, combine):
+    # each lattice is rescored cold, and again with a cache warmed by the
+    # other lattices, so the rows batched together differ between the runs
+    _, uni, su1, su2 = _rnn_setup()
+    model = {"uni": uni, "su1": su1, "su2": su2}[name]
+    entry = rescore_lattice_su if model.k else rescore_lattice_uni
+    rng = random.Random(PINNED_SEED)
+    lats = [random_dag_lattice(rng, ["u", "v", "w", "x"]) for _ in range(6)]
+
+    def text(lat, cache):
+        return write_slf(entry(lat, model, combine=combine, cache=cache,
+                               **MERGE_ARGS[merge]))
+
+    cold = [text(lat, None) for lat in lats]
+    for i, lat in enumerate(lats):
+        cache = ProbCache()
+        for other in lats[:i] + lats[i + 1:]:
+            text(other, cache)
+        assert text(lat, cache) == cold[i]
+    digest = hashlib.sha256("".join(cold).encode()).hexdigest()
+    assert digest == PINNED_SLF_SHA256[(name, merge, combine)]
 
 
 def test_combine_rule_validation():

@@ -254,6 +254,44 @@ def test_row_helpers_match_single_row_calls(succ):
         assert np.max(np.abs(dists[i] - model.output_dist(h, win, 0.7))) <= 1e-12
 
 
+# forty words, so the output layer is wide enough for BLAS to block rows
+ROW_LINES = [" ".join("w%d" % ((7 * i + 3 * j) % 40) for j in range(9))
+             for i in range(40)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("succ", [0, 3])
+def test_stacked_advance_and_output_dist_are_row_exact(succ, dtype):
+    # lattice rescoring batches whatever rows a node needs and caches them,
+    # so a row's bytes must not depend on the other rows of its batch
+    vocab = build_vocabulary(ROW_LINES, 30)
+    model = (SuRnnlm(vocab, hidden=48, embed=24, succ=succ, seed=17, dtype=dtype)
+             if succ else UniRnnlm(vocab, hidden=48, embed=24, seed=17, dtype=dtype))
+    rng = np.random.default_rng(18)
+    n = 80
+    H = rng.uniform(-1.0, 1.0, size=(n, model.hidden)).astype(dtype)
+    ids = rng.integers(0, len(vocab), size=n)
+    wins = rng.integers(0, len(vocab), size=(n, succ)) if succ else None
+    one_h = [model.advance(H[i], ids[i]).tobytes() for i in range(n)]
+    one_d = [model.output_dist(H[i], tuple(wins[i]) if succ else None, 0.7).tobytes()
+             for i in range(n)]
+    for B in range(1, 41):
+        # row 0 sits in both batches, beside different rows
+        for rows in (np.arange(B), np.r_[0, np.arange(n - B + 1, n)]):
+            h_b = model.advance(H[rows], ids[rows])
+            d_b = model.output_dist(H[rows], wins[rows] if succ else None, 0.7)
+            assert h_b.shape == (B, model.hidden) and h_b.dtype == dtype
+            assert d_b.shape == (B, vocab.output_size) and d_b.dtype == dtype
+            for j, i in enumerate(rows):
+                assert h_b[j].tobytes() == one_h[i]
+                assert d_b[j].tobytes() == one_d[i]
+    if succ:
+        with pytest.raises(ValueError):
+            model.output_dist(H[:2], wins[:2, :2])
+        with pytest.raises(ValueError):
+            model.output_dist(H[:2], wins[0])
+
+
 def test_output_dist_rows_checks_window_shape():
     vocab, _ = tiny_setup()
     su = SuRnnlm(vocab, hidden=8, embed=4, succ=3, seed=1)
