@@ -11,6 +11,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import math
 import multiprocessing
 import os
@@ -356,24 +357,27 @@ def cmd_rescore(args):
             "lm_scale": args.lm_scale}
     tasks = [(os.path.join(args.lattices, n), opts) for n in names]
     _WORKERS = (uni, su, (lattice_mod.ProbCache(), lattice_mod.ProbCache()))
-    if args.jobs > 1:
-        # fork gives every worker its own copy of the models and of the
-        # cache pair; results come back in input order
-        with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
-            results = list(pool.imap(_rescore_one, tasks))
-    else:
-        results = [_rescore_one(t) for t in tasks]
-
     pairs = []
-    for name, (words, text) in zip(names, results):
-        utt = name[:-4]
-        if args.out_dir:
-            _write_text(os.path.join(args.out_dir, name), text)
-        print("%s %s" % (utt, " ".join(words)))
-        if refs is not None:
-            if utt not in refs:
-                raise corpus_mod.CorpusError("no reference for %s" % utt)
-            pairs.append((refs[utt], words))
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1:
+            # fork gives every worker its own copy of the models and of the
+            # cache pair; results come back in input order
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(args.jobs))
+            results = pool.imap(_rescore_one, tasks)
+        else:
+            results = map(_rescore_one, tasks)
+        # each result is written and dropped as it arrives, so memory does
+        # not grow with the number of lattices
+        for name, (words, text) in zip(names, results):
+            utt = name[:-4]
+            if args.out_dir:
+                _write_text(os.path.join(args.out_dir, name), text)
+            print("%s %s" % (utt, " ".join(words)))
+            if refs is not None:
+                if utt not in refs:
+                    raise corpus_mod.CorpusError("no reference for %s" % utt)
+                pairs.append((refs[utt], words))
     if refs is not None:
         c = evaluate.corpus_wer(pairs)
         print("wer %.2f%% (sub %d del %d ins %d / %d)"

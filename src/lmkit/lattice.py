@@ -14,17 +14,27 @@ pending window of the next k words; a state is only continued along arcs
 that realize the words it promised, and the output lattice expands to keep
 those promises distinct.
 
-Rescoring walks the nodes in topological order and batches each node's
-model work.  An arrival that improves a state only records its parent's
-hidden vector and its last word.  When the node is reached, only the
-surviving arrival of each state is advanced, in one model call over the
-distinct word sequences the cache lacks.  Then the node's transitions
-(state, arc, window) are collected in relaxation order, the distinct
-(sequence, window) distributions the cache lacks are computed in one call,
-and the transitions relax in that order with a strict comparison, as a
-per-arc loop would.  The model's stacked calls are row exact (a row's bytes
-never depend on the other rows of its batch), so the output depends
-neither on how rows were batched nor on whether a cache was used.
+Rescoring relaxes the nodes one by one in topological order and batches
+model work over frontiers.  A state is one record per (node, history,
+window) key, updated in place: an arrival that improves it only records
+its parent's hidden vector and its last word.  A node is ready once all of
+its predecessors have relaxed.  When the walk reaches a node whose model
+work is not done, that work is done for every ready node at once: the
+surviving arrival of each of their states is advanced in one model call
+over the distinct word sequences the cache lacks, their transitions
+(state, arc, window) are collected in relaxation order, and the distinct
+(sequence, window) distributions the cache lacks come from one more call.
+Each node's transitions then relax in that order with a strict
+comparison, as a per-arc loop would.  The model's stacked calls are row
+exact (a row's bytes never depend on the other rows of its batch), so the
+output depends neither on how rows were batched nor on whether a cache was
+used; without a cache, vectors are still shared within one call.
+
+States are numbered as the walk reaches their nodes, so the transitions
+come out in (start, arc, end) order with every arc running from a lower to
+a higher id, and the output lattice is built already indexed: its
+adjacency, its endpoints and the identity order as its topological order,
+exactly what Lattice.finish would derive.
 """
 
 import heapq
@@ -461,16 +471,20 @@ class ProbCache:
     """Memo for hidden states and output distributions during rescoring.
     Hidden states are keyed by the exact word-id sequence consumed so far,
     distributions additionally by the succeeding-word window.  A hit returns
-    the identical array it stored.
+    the identical array it stored.  Nothing is ever evicted: the memo holds
+    every distinct sequence and (sequence, window) it has seen until it is
+    dropped, so its size grows with the lattices rescored through it.
 
-    Misses are computed in batches, and which rows share a batch depends on
-    what the cache already held; the model's stacked calls are row exact
-    (row i has the bytes of the call on row i alone), so a vector has the
-    same bytes from a hit, a batch of misses, or an uncached run, and cached
-    and uncached rescoring write the same lattices.  Hidden vectors are
-    looked up once per distinct word sequence at a node.  Distributions are
-    looked up once per transition, and a key repeated within one node's
-    batch is a hit after its first miss, as in a one-at-a-time loop."""
+    Misses are computed in batches, one per frontier of the walk (the nodes
+    whose predecessors have all relaxed), and which rows share a batch
+    depends on what the cache already held; the model's stacked calls are
+    row exact (row i has the bytes of the call on row i alone), so a vector
+    has the same bytes from a hit, a batch of misses, or an uncached run,
+    and cached and uncached rescoring write the same lattices.  Hidden
+    vectors are looked up once per distinct word sequence in a frontier.
+    Distributions are looked up once per transition, and a key repeated
+    within one frontier's batch is a hit after its first miss, as in a
+    one-at-a-time loop."""
 
     def __init__(self):
         self.h = {}
@@ -480,107 +494,86 @@ class ProbCache:
 
 
 def _stack(rows):
-    # np.stack's checks cost more than the model call on a node's few rows
+    # np.stack's checks cost more than the model call on a frontier's few rows
     return np.concatenate(rows).reshape(len(rows), -1)
 
 
-def _fill_hidden(model, cache, here):
-    """Give every state at a node, (key, state) pairs in `here`, its hidden
-    vector: the parent's vector advanced by the state's last word, in one
-    model call over the distinct word sequences the cache lacks."""
-    memo = cache.h if cache is not None else {}
-    if len(here) == 1:
-        # most nodes hold one state: no batch to assemble
-        st = here[0][1]
-        st.h = memo.get(st.full)
-        hit = st.h is not None
-        if not hit:
-            st.h = memo[st.full] = model.advance(st.h_prev, st.full[-1])
-        if cache is not None:
-            cache.h_hits += hit
-            cache.h_misses += not hit
-        return
-    todo = {}   # word sequence -> states waiting for its hidden vector
-    hits = 0
-    for _, st in here:
-        group = todo.get(st.full)
-        if group is not None:
-            group.append(st)
-            continue
-        st.h = memo.get(st.full)
-        if st.h is None:
-            todo[st.full] = [st]
+def _fill_hidden(model, cache, memo, groups):
+    """Give every state its hidden vector: the parent's vector advanced by
+    the state's last word.  `groups` holds the states by distinct word
+    sequence; one model call computes the sequences `memo` lacks."""
+    todo = []
+    for group in groups:
+        h = memo.get(group[0].full)
+        if h is None:
+            todo.append(group)
         else:
-            hits += 1
+            for st in group:
+                st.h = h
     if cache is not None:
-        cache.h_hits += hits
+        cache.h_hits += len(groups) - len(todo)
         cache.h_misses += len(todo)
     if not todo:
         return
     if len(todo) == 1:
-        ((full, group),) = todo.items()
-        hs = (model.advance(group[0].h_prev, full[-1]),)
+        # a lone row needs no batch assembly
+        st = todo[0][0]
+        hs = (model.advance(st.h_prev, st.full[-1]),)
     else:
-        hs = model.advance(_stack([group[0].h_prev for group in todo.values()]),
-                           [full[-1] for full in todo])
-    for (full, group), h in zip(todo.items(), hs):
-        memo[full] = h
+        hs = model.advance(_stack([group[0].h_prev for group in todo]),
+                           [group[0].full[-1] for group in todo])
+    for group, h in zip(todo, hs):
+        memo[group[0].full] = h
         for st in group:
             st.h = h
 
 
-def _output_dists(model, cache, moves, alpha):
-    """The output distribution of every move, whose first two fields are
-    its (word sequence, window) key and its state, in one model call over
-    the distinct keys the cache lacks."""
-    memo = cache.dist if cache is not None else {}
-    if len(moves) == 1:
-        # one transition: no batch to assemble
-        key, st = moves[0][0], moves[0][1]
-        dist = memo.get(key)
-        hit = dist is not None
-        if not hit:
-            dist = memo[key] = model.output_dist(st.h, key[1] if model.k else None,
-                                                 alpha)
-        if cache is not None:
-            cache.dist_hits += hit
-            cache.dist_misses += not hit
-        return (dist,)
-    todo = {}   # key -> hidden vector, for the keys to compute
-    hits = 0
-    for m in moves:
-        if m[0] in todo or m[0] in memo:
-            hits += 1
-        else:
-            todo[m[0]] = m[1].h
+def _output_dists(model, cache, memo, keys, users, lookups, alpha):
+    """The output distribution of every distinct (word sequence, window)
+    key in `keys`, computed from the hidden vector of the matching state in
+    `users`, in one model call over the keys `memo` lacks.  `lookups`
+    transitions asked for these keys."""
+    dists = [memo.get(key) for key in keys]
+    todo = [i for i, dist in enumerate(dists) if dist is None]
     if cache is not None:
-        cache.dist_hits += hits
+        cache.dist_hits += lookups - len(todo)
         cache.dist_misses += len(todo)
     if len(todo) == 1:
-        ((key, h),) = todo.items()
-        memo[key] = model.output_dist(h, key[1] if model.k else None, alpha)
+        i = todo[0]
+        dists[i] = memo[keys[i]] = model.output_dist(
+            users[i].h, keys[i][1] if model.k else None, alpha)
     elif todo:
-        wins = np.array([key[1] for key in todo]) if model.k else None
-        memo.update(zip(todo, model.output_dist(_stack(list(todo.values())),
-                                                wins, alpha)))
-    return [memo[m[0]] for m in moves]
+        wins = np.array([keys[i][1] for i in todo]) if model.k else None
+        rows = model.output_dist(_stack([users[i].h for i in todo]), wins, alpha)
+        for i, dist in zip(todo, rows):
+            dists[i] = memo[keys[i]] = dist
+    return dists
 
 
 def _future_sets(lat, word_ids, k, pad_id):
-    """For every node, the set of k-word windows that can follow it on some
-    path, padded past the final node."""
-    futures = [None] * len(lat.nodes)
-    futures[lat.final] = {(pad_id,) * k}
+    """For every node, the sorted k-word windows that can follow it on some
+    path, padded past the final node, and the same windows grouped by their
+    first k - 1 words.  With k = 0 every node has the one empty window."""
+    n = len(lat.nodes)
+    if not k:
+        return [[()]] * n, [{(): [()]}] * n
+    futures = [None] * n
+    by_prefix = [None] * n
     for u in reversed(lat.topo):
         if u == lat.final:
-            continue
-        futs = set()
-        for aid in lat.out_arcs[u]:
-            a = lat.arcs[aid]
-            for f in futures[a.end]:
-                futs.add(((word_ids[aid],) + f)[:k])
+            futs = [(pad_id,) * k]
+        else:
+            # an arc's word followed by the first k - 1 words of a window
+            # of its end node
+            futs = sorted({(word_ids[aid],) + prefix
+                           for aid in lat.out_arcs[u]
+                           for prefix in by_prefix[lat.arcs[aid].end]})
+        groups = {}
+        for f in futs:
+            groups.setdefault(f[:-1], []).append(f)
         futures[u] = futs
-    return [sorted(f) if f is not None else None for f in futures]
+        by_prefix[u] = groups
+    return futures, by_prefix
 
 
 def _trunc_hist(seq, n_hist):
@@ -590,19 +583,20 @@ def _trunc_hist(seq, n_hist):
 
 
 class _State:
-    """The best arrival so far at one (node, history, window) key.  Its
-    hidden vector h is only computed once the node is reached, from the
-    parent's vector h_prev and the last word of `full`."""
+    """The best arrival so far at one (node, history, window) key, updated
+    in place when a better one arrives.  Its hidden vector h is computed
+    once every predecessor of the node has relaxed, from the parent's vector
+    h_prev and the last word of `full`; `id` is its output node id, given
+    when the walk reaches the node."""
 
-    __slots__ = ("g", "ac", "lm", "full", "h_prev", "h")
+    __slots__ = ("g", "full", "h_prev", "h", "id")
 
-    def __init__(self, g, ac, lm, full, h_prev):
+    def __init__(self, g, full, h_prev):
         self.g = g
-        self.ac = ac
-        self.lm = lm
         self.full = full
         self.h_prev = h_prev
         self.h = None
+        self.id = None
 
 
 def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
@@ -611,77 +605,145 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
         raise ValueError("history length must be at least 1")
     vocab = model.vocab
     k = model.k
-    word_ids = [vocab.id_of(a.word) for a in lat.arcs]
-    futures = _future_sets(lat, word_ids, k, vocab.pad)
+    final = lat.final
+    # per arc: id, end node, word id, output slot, the log of the number of
+    # words an out-of-shortlist slot covers, the scaled acoustic score and
+    # the incoming lm score; in the shortlist the penalty is 0.0, whose
+    # subtraction changes no value, so every word score has the bytes
+    # word_logprob_from_dist gives
+    arcs = []
+    for a in lat.arcs:
+        w = vocab.id_of(a.word)
+        pen = math.log(vocab.n_oos) if vocab.is_oos(w) else 0.0
+        arcs.append((a.id, a.end, w, vocab.output_index(w), pen,
+                     ac_scale * a.ac, a.lm))
+    # the lists ascend in arc id, as finish() and this function build them
+    out_arcs = [[arcs[aid] for aid in aids] for aids in lat.out_arcs]
+    # a state that promised window f continues along the arcs with word
+    # f[0] into the windows that start with f[1:]
+    futures, by_prefix = _future_sets(lat, [arc[2] for arc in arcs], k, vocab.pad)
+    by_word = []
+    if k:
+        for node_arcs in out_arcs:
+            groups = {}
+            for arc in node_arcs:
+                groups.setdefault(arc[2], []).append(arc)
+            by_word.append(groups)
+    h_memo = cache.h if cache is not None else {}
+    dist_memo = cache.dist if cache is not None else {}
 
     full0 = (vocab.sent_begin,)
     hist0 = full0 if no_merge else _trunc_hist(full0, n_hist)
-    key0 = (hist0, None)
     final_key = (None, None)
     states = [dict() for _ in lat.nodes]
-    states[lat.initial][key0] = _State(0.0, 0.0, 0.0, full0, model.zero_state())
+    states[lat.initial][(hist0, None)] = _State(0.0, full0, model.zero_state())
+    remaining = [len(aids) for aids in lat.in_arcs]
+    ready = [lat.initial]   # nodes whose predecessors have all relaxed
+    pending = {}            # node -> (sorted states, transitions, dists)
+    origin = []
     transitions = []
 
     for u in lat.topo:
-        # the final node has no arcs to follow, so its states need no vector
-        if u == lat.final or not states[u]:
+        # the final node has no arcs to follow, so its state needs no vector
+        if u == final:
             continue
-        here = sorted(states[u].items(), key=lambda kv: kv[0])
-        _fill_hidden(model, cache, here)
-        # every transition out of u, in the order they relax:
-        # ((word sequence, window), state, state key, arc, word, next sequence,
-        #  next history)
-        moves = []
+        if u not in pending:
+            # model work for the whole ready frontier: every transition
+            # (state, arc, window) of its nodes in relaxation order, one
+            # advance call and one output_dist call
+            frontier = []
+            seqs = {}     # word sequence -> its position in groups
+            groups = []   # the states of each distinct word sequence
+            for v in ready:
+                here = sorted(states[v].items())
+                where = []
+                for _, st in here:
+                    seq = seqs.get(st.full)
+                    if seq is None:
+                        seq = seqs[st.full] = len(groups)
+                        groups.append([st])
+                    else:
+                        groups[seq].append(st)
+                    where.append(seq)
+                frontier.append((v, here, where))
+            ready = []
+            _fill_hidden(model, cache, h_memo, groups)
+            # the distinct (word sequence, window) keys of the frontier, and
+            # for each the state whose vector it uses; index finds a key's
+            # position by (sequence position, window), which hashes faster
+            keys = []
+            users = []
+            index = {}
+            prepared = []
+            n_moves = 0
+            for v, here, where in frontier:
+                moves = []
+                for ((_, fut), st), seq in zip(here, where):
+                    full = st.full
+                    if fut:
+                        state_arcs = by_word[v].get(fut[0], ())
+                        tail = fut[1:]
+                    else:
+                        state_arcs = out_arcs[v]
+                    for arc in state_arcs:
+                        end = arc[1]
+                        full_v = full + (arc[2],)
+                        hist_v = full_v if no_merge else _trunc_hist(full_v, n_hist)
+                        cands = by_prefix[end].get(tail, ()) if fut else futures[end]
+                        for fut_v in cands:
+                            i = index.get((seq, fut_v))
+                            if i is None:
+                                i = index[(seq, fut_v)] = len(keys)
+                                keys.append((full, fut_v))
+                                users.append(st)
+                            dkey = final_key if end == final else (hist_v, fut_v)
+                            moves.append((st, arc, i, full_v, dkey))
+                n_moves += len(moves)
+                prepared.append((v, here, moves))
+            dists = _output_dists(model, cache, dist_memo, keys, users, n_moves,
+                                  alpha)
+            for v, here, moves in prepared:
+                pending[v] = (here, moves, dists)
+        here, moves, dists = pending.pop(u)
         for skey, st in here:
-            fut = skey[1]
-            for aid in lat.out_arcs[u]:
-                a = lat.arcs[aid]
-                w = word_ids[aid]
-                if k and fut is not None:
-                    # only continue along arcs this state promised
-                    if fut[0] != w:
-                        continue
-                    cand = [f for f in futures[a.end] if f[:k - 1] == fut[1:]]
-                elif k:
-                    cand = futures[a.end]
-                else:
-                    cand = ((),)
-                full_v = st.full + (w,)
-                hist_v = full_v if no_merge else _trunc_hist(full_v, n_hist)
-                for fut_v in cand:
-                    moves.append(((st.full, fut_v), st, skey, a, w, full_v, hist_v))
-        dists = _output_dists(model, cache, moves, alpha)
-        for (key, st, skey, a, w, full_v, hist_v), dist in zip(moves, dists):
-            new_lm = combine(a.lm, model.word_logprob_from_dist(dist, w))
-            dkey = final_key if a.end == lat.final else (hist_v, key[1])
-            transitions.append((u, skey, a.end, dkey, a.id, new_lm))
-            g = st.g + ac_scale * a.ac + lm_scale * new_lm
-            cur = states[a.end].get(dkey)
-            if cur is None or g > cur.g:
-                states[a.end][dkey] = _State(g, st.ac + a.ac, st.lm + new_lm,
-                                             full_v, st.h)
+            st.id = len(origin)
+            origin.append((u,) + skey)
+        for st, (aid, end, _, slot, pen, acw, old_lm), i, full_v, dkey in moves:
+            p = dists[i].item(slot)
+            new_lm = combine(old_lm, (math.log(p) if p > 0.0 else NEG_INF) - pen)
+            g = st.g + acw + lm_scale * new_lm
+            dst = states[end].get(dkey)
+            if dst is None:
+                dst = states[end][dkey] = _State(g, full_v, st.h)
+            elif g > dst.g:
+                dst.g, dst.full, dst.h_prev = g, full_v, st.h
+            transitions.append((st, aid, dst, new_lm))
+        for arc in out_arcs[u]:
+            remaining[arc[1]] -= 1
+            if not remaining[arc[1]]:
+                ready.append(arc[1])
 
-    node_ids = {(lat.initial, key0): 0}
-    origin = [(lat.initial, hist0, None)]
-    for u in lat.topo:
-        if u in (lat.initial, lat.final):
-            continue
-        for skey in sorted(states[u]):
-            node_ids[(u, skey)] = len(origin)
-            origin.append((u, skey[0], skey[1]))
-    node_ids[(lat.final, final_key)] = len(origin)
-    origin.append((lat.final, None, None))
-
-    nodes = []
-    for (u, _), out_id in sorted(node_ids.items(), key=lambda kv: kv[1]):
-        nodes.append(Node(out_id, lat.nodes[u].time))
-    rows = sorted((node_ids[(u, skey)], aid, node_ids[(v, dkey)], new_lm)
-                  for u, skey, v, dkey, aid, new_lm in transitions)
-    arcs = [Arc(j, s, e, lat.arcs[aid].word, lat.arcs[aid].ac, new_lm)
-            for j, (s, aid, e, new_lm) in enumerate(rows)]
-    out = Lattice(nodes, arcs).finish()
+    states[final][final_key].id = len(origin)
+    origin.append((final,) + final_key)
+    # Ids follow the walk, a node's states are numbered in the order its
+    # transitions were generated, and the windows of one (state, arc) ascend
+    # with their end states' ids, so the transitions are already in (start,
+    # arc, end) order, every arc runs from a lower to a higher id, and the
+    # identity is the topological order finish() would find.
+    n = len(origin)
+    nodes = [Node(i, lat.nodes[o[0]].time) for i, o in enumerate(origin)]
+    out = Lattice(nodes, [])
+    out.out_arcs = [[] for _ in range(n)]
+    out.in_arcs = [[] for _ in range(n)]
+    for j, (st, aid, dst, new_lm) in enumerate(transitions):
+        a = lat.arcs[aid]
+        out.arcs.append(Arc(j, st.id, dst.id, a.word, a.ac, new_lm))
+        out.out_arcs[st.id].append(j)
+        out.in_arcs[dst.id].append(j)
+    out.initial, out.final = 0, n - 1
+    out.topo = list(range(n))
     out.node_origin = origin
-    out.arc_origin = [aid for _, aid, _, _ in rows]
+    out.arc_origin = [aid for _, aid, _, _ in transitions]
     return out
 
 

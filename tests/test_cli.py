@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +291,28 @@ def test_parallel_su_rescore_matches_serial_bytes(ws, tmp_path):
     for name in names:
         assert ((tmp_path / "parallel" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes())
+
+
+
+def test_rescore_writes_each_result_before_the_next_lattice(ws, tmp_path,
+                                                             monkeypatch):
+    # results are written and printed as they arrive, not held until the end
+    fx = ws / "fx"
+    out_dir = tmp_path / "out"
+    names = sorted(os.listdir(fx / "lattices"))
+    seen = []
+    rescore_one = cli._rescore_one
+
+    def spy(task):
+        seen.append((sorted(os.listdir(out_dir)),
+                     sys.stdout.getvalue().count("\n")))
+        return rescore_one(task)
+
+    monkeypatch.setattr(cli, "_rescore_one", spy)
+    out = run_ok(["rescore", "--lattices", fx / "lattices",
+                  "--model", ws / "uni.model", "--out-dir", out_dir])
+    assert seen == [(names[:i], i) for i in range(len(names))]
+    assert len(out.splitlines()) == len(names)
 
 
 def test_nbest_extract_and_rerank(ws, tmp_path):

@@ -16,7 +16,7 @@ from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
 from lmkit.models import SuRnnlm, UniRnnlm
 from lmkit.ngram import train_kn
 from lmkit.corpus import TokenizedCorpus
-from lmkit.synth import random_dag_lattice
+from lmkit.synth import confusion_sausage, random_dag_lattice
 
 
 def diamond():
@@ -422,6 +422,111 @@ def test_rescoring_bytes_match_pinned_texts(name, merge, combine):
         assert text(lat, cache) == cold[i]
     digest = hashlib.sha256("".join(cold).encode()).hexdigest()
     assert digest == PINNED_SLF_SHA256[(name, merge, combine)]
+
+
+
+def _dense_network(rng, words, slots):
+    """A confusion network of `slots` slots, each with 1-3 distinct words."""
+    nodes = [Node(i, 0.3 * i) for i in range(slots + 1)]
+    arcs = []
+    for i in range(slots):
+        for w in rng.sample(words, rng.randint(1, 3)):
+            arcs.append(Arc(len(arcs), i, i + 1, w, -3.0 * rng.random(),
+                            -2.0 * rng.random()))
+    return Lattice(nodes, arcs).finish()
+
+
+# the shortlisted vocabulary of _scorer_setup: "y" and "z" are out of the
+# shortlist, "q" is out of the vocabulary
+SHORTLIST_WORDS = ["u", "v", "w", "x", "y", "z", "q"]
+
+
+def _indexing_cases(ngram):
+    """Random DAGs, planted sausages and dense confusion networks."""
+    rng = random.Random(67)
+    lats = [random_dag_lattice(rng, SHORTLIST_WORDS) for _ in range(6)]
+    for _ in range(3):
+        ref = [rng.choice(SHORTLIST_WORDS) for _ in range(rng.randint(3, 6))]
+        lats.append(confusion_sausage(ngram, ref, rng.randrange(len(ref)),
+                                      rng.choice(SHORTLIST_WORDS), 0.5, rng))
+        lats.append(_dense_network(rng, SHORTLIST_WORDS, rng.randint(3, 5)))
+    return lats
+
+
+def _index(lat):
+    return lat.out_arcs, lat.in_arcs, lat.initial, lat.final, lat.topo
+
+
+@pytest.mark.parametrize("merge", sorted(MERGE_ARGS))
+def test_rescored_lattices_are_indexed_as_finish_would_index_them(merge):
+    # rescoring sets adjacency, endpoints and order itself instead of
+    # calling finish(); both passes, and su on a rescored lattice
+    _, ngram, uni, su1, su3 = _scorer_setup()
+    args = MERGE_ARGS[merge]
+    for lat in _indexing_cases(ngram):
+        mid = rescore_lattice_uni(lat, uni, **args)
+        outs = [mid] + [rescore_lattice_su(src, su, **args)
+                        for src in (lat, mid) for su in (su1, su3)]
+        for out in outs:
+            assert _index(out) == _index(Lattice(out.nodes, out.arcs).finish())
+            text = write_slf(out)
+            back = parse_slf(text)
+            assert write_slf(back) == text
+            assert _index(back) == _index(out)
+
+
+def test_out_of_shortlist_words_match_per_path_oracle():
+    _, ngram, uni, su1, su3 = _scorer_setup()
+    for lat in _indexing_cases(ngram)[:8]:
+        for model in (uni, su1, su3):
+            out = rescore_lattice_su(lat, model, lam=0.3, alpha=0.7,
+                                     no_merge=True)
+            want = {}
+            for p in enumerate_paths(lat):
+                s = _oracle_path_score(lat, model, p, 0.3, "loglinear", 0.7,
+                                       1.0, 1.0)
+                want.setdefault(tuple(path_words(lat, p)), []).append(s)
+            got = _paths_by_surface(out)
+            assert set(got) == set(want)
+            for surface in want:
+                assert len(got[surface]) == len(want[surface])
+                for a, b in zip(got[surface], sorted(want[surface])):
+                    assert abs(a - b) < 1e-9
+
+
+def test_frontier_batching_needs_fewer_model_calls_than_nodes():
+    # the su pass over a uni pass's output: history expansion leaves several
+    # nodes per slot, all ready together, so one call serves many nodes
+    _, _, uni, _, su3 = _scorer_setup()
+    rng = random.Random(71)
+    mids = [rescore_lattice_uni(_dense_network(rng, SHORTLIST_WORDS, 5), uni)
+            for _ in range(3)]
+    calls = {}
+
+    def counted(name):
+        inner = getattr(su3, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    su3.advance = counted("advance")
+    su3.output_dist = counted("output_dist")
+    cold = []
+    for mid in mids:
+        calls.update(advance=0, output_dist=0)
+        out = rescore_lattice_su(mid, su3)
+        # the nodes of mid that held states, final node excluded
+        busy = len({orig for orig, _, _ in out.node_origin}) - 1
+        assert 0 < calls["advance"] < busy
+        assert 0 < calls["output_dist"] < busy
+        cold.append(write_slf(out))
+    cache = ProbCache()
+    fresh = [write_slf(rescore_lattice_su(mid, su3, cache=cache)) for mid in mids]
+    warm = [write_slf(rescore_lattice_su(mid, su3, cache=cache)) for mid in mids]
+    assert cold == fresh == warm
+    assert cache.h_hits > 0 and cache.dist_hits > 0
 
 
 def test_combine_rule_validation():
