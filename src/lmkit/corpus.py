@@ -1,6 +1,7 @@
 """Text corpora, vocabularies, and the batch layouts the trainers consume."""
 
 import collections
+import math
 import os
 
 import numpy as np
@@ -16,6 +17,29 @@ SPECIALS = (SENT_BEGIN, SENT_END, OOV, OOS, NULL, PAD)
 
 class CorpusError(ValueError):
     pass
+
+
+class DataError(ValueError):
+    """Malformed input; the message names the file and the line when they
+    are known."""
+
+    def __init__(self, message, line=None, path=None):
+        self.detail, self.line, self.path = message, line, path
+        if line is not None:
+            message = "line %d: %s" % (line, message)
+        if path is not None:
+            message = "%s: %s" % (path, message)
+        super().__init__(message)
+
+    def in_file(self, path):
+        """The same error, naming the file it was read from."""
+        return type(self)(self.detail, self.line, path)
+
+
+def bad_score(value):
+    """True for NaN and +inf.  -inf is a valid log score (probability
+    zero), which the consumers floor or rank last."""
+    return math.isnan(value) or value == math.inf
 
 
 class Vocabulary:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interpolate
+from .corpus import DataError, bad_score
 
 NEG_INF = float("-inf")
 
@@ -53,12 +54,8 @@ NEG_INF = float("-inf")
 LM_FLOOR = math.log(1e-12)
 
 
-class LatticeError(ValueError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
+class LatticeError(DataError):
+    pass
 
 
 class Node:
@@ -170,15 +167,20 @@ def _parse_float(fields, key, line, default=None):
             raise LatticeError("missing field %s" % key, line)
         return default
     try:
-        return float(fields[key])
+        value = float(fields[key])
     except ValueError:
         raise LatticeError("field %s is not a number: %r" % (key, fields[key]), line)
+    if bad_score(value):
+        raise LatticeError("field %s is not finite: %r" % (key, fields[key]), line)
+    return value
 
 
 def parse_slf(text):
     """Parse the lattice subset: a counts line N=.. L=.., node lines
     I=.. t=.., and arc lines J=.. S=.. E=.. W=.. a=.. l=..  Fields on a line
-    may come in any order; blank lines and # comments are skipped."""
+    may come in any order; blank lines and # comments are skipped.  NaN
+    and +inf in a, l or t are rejected; -inf is kept, since an lm score of
+    -inf is floored at LM_FLOOR and an acoustic one ranks its path last."""
     n_decl = l_decl = None
     node_rows = {}
     arc_rows = {}
@@ -251,7 +253,11 @@ def write_slf(lat):
 
 def load_slf(path):
     with open(path, encoding="utf-8") as f:
-        return parse_slf(f.read())
+        text = f.read()
+    try:
+        return parse_slf(text)
+    except LatticeError as e:
+        raise e.in_file(path) from None
 
 
 def save_slf(lat, path):
@@ -350,6 +356,9 @@ def write_nbest(hyps, path):
 
 
 def read_nbest(path):
+    """Hypotheses of an n-best file: tab-separated total, acoustic and lm
+    scores, then the words.  NaN and +inf scores are rejected, -inf kept as
+    in parse_slf; errors name the file and the line."""
     hyps = []
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, 1):
@@ -358,11 +367,13 @@ def read_nbest(path):
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise LatticeError("expected total, acoustic, lm, words", line_no)
+                raise LatticeError("expected total, acoustic, lm, words", line_no, path)
             try:
                 total, ac, lm = (float(p) for p in parts[:3])
             except ValueError:
-                raise LatticeError("bad score field", line_no)
+                raise LatticeError("bad score field", line_no, path)
+            if any(map(bad_score, (total, ac, lm))):
+                raise LatticeError("score is not finite", line_no, path)
             hyps.append(Hypothesis(parts[3].split(), (), ac, lm, total))
     return hyps
 

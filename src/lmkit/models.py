@@ -13,6 +13,14 @@ uni is su with k=0: `UniRnnlm` implements both, the future unit guarded by
 sentences, so only per-word pseudo perplexity is meaningful for them.
 Gradients are hand derived; all three architectures train through one loop,
 `_sgd_train`: plain SGD with global-norm clipping.
+
+Training works a span at a time: a bptt span of the spliced streams (uni,
+su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
+Only the GRU recurrence loops over time (nn.gru_span); the future unit,
+the output layer, softmax and loss, and every weight gradient are stacked
+products over the span, one gemm per step inside each, summed in the
+order the step loop used.  The results have the bytes of the step-by-step
+pass written with GruCell.step and GruCell.backward.
 """
 
 import math
@@ -52,14 +60,16 @@ def _sgd_train(model, epoch, hyper):
     """The epoch loop every architecture trains with.  `epoch()` yields
     (loss, tokens, grads, rows) per update; the summed gradients are divided
     by the update's rows before the clipped SGD step.  Returns per-epoch mean
-    loss, token counts, and wall-clock words per second."""
+    loss, the largest pre-clip gradient norm of each epoch and how many of
+    its updates were clipped, token counts, and wall-clock words per
+    second."""
     params = model.params()
-    history = []
+    history, norm_max, clipped = [], [], []
     total_tokens = 0
     t_start = time.perf_counter()
     lr = hyper.lr
     for _ in range(hyper.epochs):
-        ep_loss, ep_tokens = 0.0, 0
+        ep_loss, ep_tokens, ep_norm, ep_clipped = 0.0, 0, 0.0, 0
         for loss, tokens, grads, rows in epoch():
             if not np.isfinite(loss):
                 raise nn.NumericError("non-finite training loss")
@@ -67,21 +77,49 @@ def _sgd_train(model, epoch, hyper):
                 # mean over rows, sum over the steps; clipping tames the rest
                 for g in grads.values():
                     g /= rows
-                nn.sgd_step(params, grads, lr, hyper.clip)
+                norm = float(nn.sgd_step(params, grads, lr, hyper.clip))
+                ep_norm = max(ep_norm, norm)
+                if hyper.clip is not None and norm > hyper.clip:
+                    ep_clipped += 1
             ep_loss += loss
             ep_tokens += tokens
         model.emb[model.vocab.pad] = 0.0
         nn.check_finite(params)
         history.append(ep_loss / max(ep_tokens, 1))
+        norm_max.append(ep_norm)
+        clipped.append(ep_clipped)
         total_tokens += ep_tokens
         lr *= hyper.lr_decay
     wall = time.perf_counter() - t_start
     return {
         "epoch_loss": history,
+        "grad_norm_max": norm_max,
+        "clipped_updates": clipped,
         "tokens": total_tokens,
         "seconds": wall,
         "wps": total_tokens / wall if wall > 0 else float("inf"),
     }
+
+
+def _output_loss(model, ctx, slots, mask, want_grads):
+    """Output layer, softmax and loss over a (T, S, C) stack of contexts;
+    slots and mask (T, S) give each cell's target slot and whether it
+    counts.  Each step's loss is summed over its rows, then the steps in
+    order, as a step loop would.  Returns (loss, tokens, dlogits), dlogits
+    None without want_grads."""
+    dist = nn.softmax(ctx @ model.out_w.T + model.out_b)
+    T, S = mask.shape
+    cells = (np.arange(T)[:, None], np.arange(S), slots)
+    steps = (np.log(dist[cells], where=mask, out=np.zeros(mask.shape)) * mask).sum(axis=1)
+    loss = 0.0
+    for step in steps:
+        loss -= float(step)
+    tokens = int(mask.sum())
+    if not want_grads:
+        return loss, tokens, None
+    dist[cells] -= 1.0
+    dist[~mask] = 0.0
+    return loss, tokens, dist
 
 
 class UniRnnlm:
@@ -234,84 +272,54 @@ class UniRnnlm:
     def _forward_backward(self, inputs, slots, valid, resets, windows, t0, t1, h,
                           want_grads=True):
         """Loss (and gradients) over steps [t0, t1) of the rectangles, starting
-        from hidden state rows `h`.  Returns (loss, tokens, grads, h_out)."""
-        S = inputs.shape[0]
-        rows = np.arange(S)
-        caches = []
-        loss = 0.0
-        tokens = int(valid[:, t0:t1].sum())
-        h_rows = h
-        for t in range(t0, t1):
-            h_rows = h_rows.copy()
-            h_rows[resets[:, t]] = 0.0
-            x = self.emb[inputs[:, t]]
-            h_new, cache = self.gru.step(x, h_rows)
-            ctx, fcache = self._context_rows(
-                h_new, None if windows is None else windows[:, t])
-            logits = ctx @ self.out_w.T + self.out_b
-            dist = nn.softmax(logits, axis=1)
-            mask = valid[:, t]
-            picked = dist[rows, slots[:, t]]
-            loss -= float((np.log(picked, where=mask, out=np.zeros(S)) * mask).sum())
-            if want_grads:
-                caches.append((cache, ctx, dist, fcache))
-            h_rows = h_new
+        from hidden state rows `h`.  Returns (loss, tokens, grads, h_out).
+
+        The span runs as (T, S, .) stacks: the GRU recurrence is the only
+        time loop (nn.gru_span); the future unit, the output layer, the
+        softmax and the loss, and their gradients, are one 3-d product each
+        after it.  Every number has the bytes of the step-by-step pass."""
+        ids = inputs[:, t0:t1].T
+        win = None if windows is None else windows[:, t0:t1].transpose(1, 0, 2)
+        states, gru_cache = nn.gru_span(self.gru, self.emb[ids], h,
+                                        resets=resets[:, t0:t1].T)
+        ctx, fcache = self._context_rows(states, win)
+        loss, tokens, dlogits = _output_loss(
+            self, ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, want_grads)
         if not want_grads:
-            return loss, tokens, None, h_rows
+            return loss, tokens, None, states[-1]
         grads = nn.zeros_like_params(self.params())
-        dh = np.zeros((S, self.hidden), dtype=self.dtype)
-        dx_steps = np.empty((t1 - t0, S, self.embed), dtype=self.dtype)
-        dwin_steps = None
+        nn.add_span_grads(grads, "out.W", "out.b", dlogits, ctx)
+        dctx = dlogits @ self.out_w
+        dX = nn.gru_span_backward(self.gru, gru_cache, dctx[..., :self.hidden], grads)
+        nn.add_rows_at(grads["emb"], ids, dX)
         if self.k:
-            dwin_steps = np.empty((t1 - t0, S, self.k * self.embed), dtype=self.dtype)
-        for i in range(t1 - t0 - 1, -1, -1):
-            t = t0 + i
-            cache, ctx, dist, fcache = caches[i]
-            mask = valid[:, t]
-            dlogits = dist.copy()
-            dlogits[rows, slots[:, t]] -= 1.0
-            dlogits[~mask] = 0.0
-            grads["out.W"] += dlogits.T @ ctx
-            grads["out.b"] += dlogits.sum(axis=0)
-            dctx = dlogits @ self.out_w
-            dh_step, dwin = self._split_context_grad(dctx, fcache, grads)
-            dh_total = dh + dh_step
-            if dwin_steps is not None:
-                dwin_steps[i] = dwin
-            dx, dh_prev = self.gru.backward(cache, dh_total, grads)
-            dx_steps[i] = dx
-            dh_prev[resets[:, t]] = 0.0
-            dh = dh_prev
-        ids_flat = inputs[:, t0:t1].T.reshape(-1)
-        np.add.at(grads["emb"], ids_flat, dx_steps.reshape(-1, self.embed))
-        if self.k:
-            win_flat = windows[:, t0:t1].transpose(1, 0, 2).reshape(-1)
-            np.add.at(grads["emb"], win_flat, dwin_steps.reshape(-1, self.embed))
+            flat, f = fcache
+            # dctx * (1 - f*f), in place as in _context_rows
+            da = np.multiply(f, f)
+            np.subtract(1.0, da, out=da)
+            da *= dctx[..., self.hidden:]
+            nn.add_span_grads(grads, "fut.W", "fut.b", da, flat)
+            nn.add_rows_at(grads["emb"], win, da @ self.fut_w)
         grads["emb"][self.vocab.pad] = 0.0
-        return loss, tokens, grads, h_rows
+        return loss, tokens, grads, states[-1]
 
     def _context_rows(self, h_new, win_rows):
         """Context rows [h, f] with f the future vector of each row's (k,)
-        window; also returns what the backward pass needs."""
+        window; h_new may be (B, H) or a (T, B, H) stack with (T, B, k)
+        windows.  Also returns what the backward pass needs."""
         if not self.k:
             return h_new, None
-        S = h_new.shape[0]
-        if np.shape(win_rows) != (S, self.k):
+        if np.shape(win_rows) != h_new.shape[:-1] + (self.k,):
             raise ValueError("need %d succeeding word ids per row" % self.k)
-        flat = self.emb[win_rows].reshape(S, self.k * self.embed)
-        f = np.tanh(flat @ self.fut_w.T + self.fut_b)
-        return np.concatenate([h_new, f], axis=1), (flat, f)
-
-    def _split_context_grad(self, dctx, fcache, grads):
-        """Backward of _context_rows: the state's share of dctx and the
-        gradient of the flattened window embeddings (None when k is 0)."""
-        if not self.k:
-            return dctx, None
-        flat, f = fcache
-        da = dctx[:, self.hidden:] * (1.0 - f * f)
-        grads["fut.W"] += da.T @ flat
-        grads["fut.b"] += da.sum(axis=0)
-        return dctx[:, :self.hidden], da @ self.fut_w
+        flat = self.emb[win_rows].reshape(h_new.shape[:-1] + (self.k * self.embed,))
+        # built in place: over a training span every temporary is a
+        # span-sized array, whose fresh pages cost more than the arithmetic
+        ctx = np.empty(h_new.shape[:-1] + (self.hidden + self.future_hidden,), self.dtype)
+        ctx[..., :self.hidden] = h_new
+        pre = flat @ self.fut_w.T
+        pre += self.fut_b
+        f = np.tanh(pre, out=ctx[..., self.hidden:])
+        return ctx, (flat, f)
 
     def loss_and_grads(self, corpus, num_streams=2):
         """Total loss and gradients over one full-backprop pass; used by the
@@ -413,46 +421,27 @@ class BiRnnlm:
         return p
 
     def _forward_rect(self, rows, lengths):
-        """Forward pass over a left-aligned rectangle.  Returns the per-step
-        tensors the backward pass and the scoring API need."""
+        """Forward pass over a left-aligned rectangle.  Returns the contexts
+        (T-1, S, 2H) of positions 1..T-1, the (T-1, S) mask of those that
+        hold a word, and the caches of both GRUs."""
         S, T = rows.shape
-        lengths = np.asarray(lengths)
-        emb_cells = self.emb[rows]
-        f_states = np.zeros((T, S, self.hidden), dtype=self.dtype)
-        f_caches = [None] * T
-        h = np.zeros((S, self.hidden), dtype=self.dtype)
-        for t in range(T - 1):
-            mask = (t < lengths - 1)[:, None]
-            h_new, cache = self.gru_f.step(emb_cells[:, t], h)
-            h = np.where(mask, h_new, h)
-            f_caches[t] = cache
-            f_states[t + 1] = h
-        b_used = np.zeros((T, S, self.hidden), dtype=self.dtype)
-        b_caches = [None] * T
-        b = np.zeros((S, self.hidden), dtype=self.dtype)
-        for t in range(T - 1, 0, -1):
-            b_used[t] = b
-            if t >= 2:
-                mask = (t <= lengths - 1)[:, None]
-                b_new, cache = self.gru_b.step(emb_cells[:, t], b)
-                b = np.where(mask, b_new, b)
-                b_caches[t] = cache
-        return emb_cells, f_states, f_caches, b_used, b_caches
-
-    def _positions(self, T, lengths):
-        # predicted positions are 1..len-1 per row
-        steps = np.arange(T)[:, None]
-        return (steps >= 1) & (steps <= np.asarray(lengths) - 1)
+        X = self.emb[rows.T]
+        live = np.arange(T)[:, None] < np.asarray(lengths)
+        h0 = np.zeros((S, self.hidden), dtype=self.dtype)
+        # the forward GRU reads steps 0..T-2, a row's state advancing while
+        # position t+1, whose left context it becomes, holds a word
+        f_states, f_cache = nn.gru_span(self.gru_f, X[:T - 1], h0, keep=live[1:, :, None])
+        # the backward GRU reads steps T-1 down to 2; its state after step t
+        # is the right context of position t-1, and position T-1 has none
+        b_states, b_cache = nn.gru_span(self.gru_b, X[T - 1:1:-1], h0,
+                                        keep=live[T - 1:1:-1, :, None])
+        b_ctx = np.concatenate([b_states[::-1], h0[None]])
+        return np.concatenate([f_states, b_ctx], axis=-1), live[1:], f_cache, b_cache
 
     def sentence_dists(self, ids, alpha=1.0):
         """Distributions for every predicted position of one encoded sentence."""
-        rows = np.asarray([ids], dtype=np.int64)
-        _, f_states, _, b_used, _ = self._forward_rect(rows, [len(ids)])
-        out = []
-        for i in range(1, len(ids)):
-            ctx = np.concatenate([f_states[i][0], b_used[i][0]])
-            out.append(smooth(self.out_w @ ctx + self.out_b, alpha))
-        return out
+        ctx, _, _, _ = self._forward_rect(np.asarray([ids], dtype=np.int64), [len(ids)])
+        return [smooth(self.out_w @ c[0] + self.out_b, alpha) for c in ctx]
 
     # the same word lookup and container code as uni, bound here so each
     # name stays an own attribute of this class
@@ -465,59 +454,28 @@ class BiRnnlm:
         return [self.word_logprob_from_dist(d, ids[i + 1]) for i, d in enumerate(dists)]
 
     def loss_and_grads_batch(self, batch, want_grads=True):
-        """Loss and gradients for one rectangle batch, NULL cells excluded."""
+        """Loss and gradients for one rectangle batch, NULL cells excluded.
+        Both GRUs run as spans (nn.gru_span); the output layer and its
+        gradients are one 3-d product each over positions 1..T-1, summed in
+        ascending position order as the step loop did."""
         rows, lengths = batch.rows, batch.lengths
         S, T = rows.shape
-        emb_cells, f_states, f_caches, b_used, b_caches = self._forward_rect(rows, lengths)
-        pos_valid = self._positions(T, lengths)
-        loss = 0.0
-        tokens = 0
-        slots = np.minimum(rows, self.vocab.shortlist_size)
-        if want_grads:
-            grads = nn.zeros_like_params(self.params())
-            df_inject = np.zeros((T, S, self.hidden), dtype=self.dtype)
-            db_inject = np.zeros((T, S, self.hidden), dtype=self.dtype)
-        rng_rows = np.arange(S)
-        for i in range(1, T):
-            mask = pos_valid[i]
-            if not mask.any():
-                continue
-            ctx = np.concatenate([f_states[i], b_used[i]], axis=1)
-            logits = ctx @ self.out_w.T + self.out_b
-            dist = nn.softmax(logits, axis=1)
-            picked = dist[rng_rows, slots[:, i]]
-            loss -= float((np.log(picked, where=mask, out=np.zeros(S)) * mask).sum())
-            tokens += int(mask.sum())
-            if not want_grads:
-                continue
-            dlogits = dist
-            dlogits[rng_rows, slots[:, i]] -= 1.0
-            dlogits[~mask] = 0.0
-            grads["out.W"] += dlogits.T @ ctx
-            grads["out.b"] += dlogits.sum(axis=0)
-            dctx = dlogits @ self.out_w
-            df_inject[i] = dctx[:, :self.hidden]
-            db_inject[i] = dctx[:, self.hidden:]
+        ctx, mask, f_cache, b_cache = self._forward_rect(rows, lengths)
+        slots = np.minimum(rows, self.vocab.shortlist_size).T[1:]
+        loss, tokens, dlogits = _output_loss(self, ctx, slots, mask, want_grads)
         if not want_grads:
             return loss, tokens, None
+        grads = nn.zeros_like_params(self.params())
+        nn.add_span_grads(grads, "out.W", "out.b", dlogits, ctx, reverse=False)
+        dctx = dlogits @ self.out_w
+        H = self.hidden
+        dx_f = nn.gru_span_backward(self.gru_f, f_cache, dctx[..., :H], grads)
+        dx_b = nn.gru_span_backward(self.gru_b, b_cache, dctx[:T - 2][::-1, :, H:], grads)
+        # forward chain first, then backward chain, into each cell
         dx_cells = np.zeros((S, T, self.embed), dtype=self.dtype)
-        # forward chain ran t = 0..T-2, so backprop runs in reverse
-        dh = np.zeros((S, self.hidden), dtype=self.dtype)
-        for t in range(T - 2, -1, -1):
-            mask = (t < np.asarray(lengths) - 1)[:, None]
-            dh_total = dh + df_inject[t + 1]
-            dx, dh_prev = self.gru_f.backward(f_caches[t], dh_total * mask, grads)
-            dx_cells[:, t] += dx
-            dh = dh_prev + dh_total * ~mask
-        # backward chain ran t = T-1..2, so backprop runs t = 2..T-1
-        db = np.zeros((S, self.hidden), dtype=self.dtype)
-        for t in range(2, T):
-            db_total = db + db_inject[t - 1]
-            mask = (t <= np.asarray(lengths) - 1)[:, None]
-            dx, db_prev = self.gru_b.backward(b_caches[t], db_total * mask, grads)
-            dx_cells[:, t] += dx
-            db = db_prev + db_total * ~mask
-        np.add.at(grads["emb"], rows.reshape(-1), dx_cells.reshape(-1, self.embed))
+        dx_cells[:, :T - 1] += dx_f.transpose(1, 0, 2)
+        dx_cells[:, T - 1:1:-1] += dx_b.transpose(1, 0, 2)
+        nn.add_rows_at(grads["emb"], rows, dx_cells)
         grads["emb"][self.vocab.pad] = 0.0
         return loss, tokens, grads
 

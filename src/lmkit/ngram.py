@@ -16,18 +16,14 @@ import collections
 import math
 import os
 
-from .corpus import SENT_BEGIN
+from .corpus import SENT_BEGIN, DataError, bad_score
 
 LN10 = math.log(10.0)
 LOG10_NEG_INF = -99.0
 
 
-class FormatError(ValueError):
-    def __init__(self, msg, line=None):
-        self.line = line
-        if line is not None:
-            msg = "line %d: %s" % (line, msg)
-        super().__init__(msg)
+class FormatError(DataError):
+    pass
 
 
 class ArpaModel:
@@ -168,10 +164,19 @@ def save_arpa(model, path):
 
 
 def load_arpa(path, vocab):
-    """Parse an ARPA file against a vocabulary.  Raises FormatError with the
-    offending line number on malformed input."""
+    """Parse an ARPA file against a vocabulary.  Raises FormatError naming
+    the file and the offending line on malformed input.  NaN and +inf log
+    probabilities and back-off weights are rejected; -inf is kept (a zero
+    probability)."""
     with open(path) as fh:
         raw_lines = fh.read().splitlines()
+    try:
+        return _parse_arpa(raw_lines, vocab)
+    except FormatError as e:
+        raise e.in_file(path) from None
+
+
+def _parse_arpa(raw_lines, vocab):
     counts = {}
     order = 0
     i = 0
@@ -231,6 +236,8 @@ def load_arpa(path, vocab):
             bow = float(fields[current + 1]) if len(fields) == current + 2 else None
         except ValueError:
             raise FormatError("malformed numeric field", i + 1)
+        if bad_score(lp) or (bow is not None and bad_score(bow)):
+            raise FormatError("numeric field is not finite", i + 1)
         gram = []
         for wtxt in fields[1:current + 1]:
             if wtxt not in vocab.index:

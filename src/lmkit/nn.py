@@ -1,5 +1,14 @@
 """Dense kernels shared by the recurrent models: GRU cell, stable softmax,
-cross entropy, clipped SGD, and the binary model container."""
+cross entropy, clipped SGD, and the binary model container.
+
+The GRU comes twice.  GruCell.step does one step over a batch of rows for
+the scorers, and GruCell.backward is its backward pass, kept as the
+reference the training kernels are tested against.  gru_span and
+gru_span_backward run the training spans: the input products, the weight
+gradients and dx are stacked products over the whole span (span_inputs,
+span_grads), and only the U products and the gate arithmetic stay in the
+time loop.  Both give the same bytes: a stacked product is one gemm per
+step, and the span sums run in step order."""
 
 import json
 import os
@@ -117,6 +126,148 @@ class GruCell:
         return dx, dh_prev
 
 
+def _zr_stack(a, b):
+    """(2, K, H) stack of a.T and b.T as transposed views, so each slice's
+    product takes the BLAS path of `x @ a.T` in `step`."""
+    return np.stack([a, b]).transpose(0, 2, 1)
+
+
+def span_inputs(cell, X):
+    """The input products of `step` for a whole span: X (T, S, D) holds the
+    inputs of T steps on S rows.  Returns the z and r products (T, 2, S, H)
+    and the candidate's (T, S, H).  A stacked product runs one gemm per
+    step and gate, so each slice has the bytes of that step's own product;
+    flattened to (T*S, D) rows, BLAS would block rows of different steps
+    together and round them differently."""
+    p = cell.p
+    return X[:, None] @ _zr_stack(p["Wz"], p["Wr"]), X @ p["Wh"].T
+
+
+def gru_span(cell, X, h, resets=None, keep=None):
+    """Run `cell` over one span from state rows h (S, H).  X (T, S, D) holds
+    the step inputs; resets (T, S) marks rows whose state is zeroed before
+    step t, keep (T, S, 1) rows whose state advances at step t while the
+    others carry theirs over.  The input products run once over the span
+    and only the U products and the gate arithmetic stay in the time loop.
+    Returns the (T, S, H) states after each step, with the bytes of `step`
+    run step by step, and the cache gru_span_backward takes."""
+    p = cell.p
+    T, S = X.shape[:2]
+    XZR, XH = span_inputs(cell, X)
+    U_zr = _zr_stack(p["Uz"], p["Ur"])
+    b_zr = np.stack([p["bz"], p["br"]])[:, None]
+    UhT, bh = p["Uh"].T, p["bh"]
+    ZR = np.empty_like(XZR)
+    RH, C, Hout = (np.empty_like(XH) for _ in range(3))
+    reset_rows = [()] * T if resets is None else [np.flatnonzero(r) for r in resets]
+    drop = None if keep is None else ~keep
+    h0 = h
+    for t in range(T):
+        if len(reset_rows[t]):
+            h = h.copy()
+            h[reset_rows[t]] = 0.0
+        # (x Wz + h Uz) + bz as in `step`: a sum of two terms commutes
+        pre = h @ U_zr
+        pre += XZR[t]
+        pre += b_zr
+        ZR[t] = sigmoid(pre)
+        z, r = ZR[t]
+        rh = np.multiply(r, h, out=RH[t])
+        a = rh @ UhT
+        a += XH[t]
+        a += bh
+        c = np.tanh(a, out=C[t])
+        np.add((1.0 - z) * h, z * c, out=Hout[t])
+        if drop is not None:
+            np.copyto(Hout[t], h, where=drop[t])
+        h = Hout[t]
+    return Hout, (X, h0, ZR, RH, C, Hout, resets, reset_rows, keep)
+
+
+def gru_span_backward(cell, cache, dH, grads):
+    """Backprop through gru_span.  dH (T, S, H) is the loss gradient that
+    reaches each step's state from outside the recurrence.  Adds the nine
+    weight and bias gradients to `grads` and returns dX (T, S, D), both with
+    the bytes of `backward` run from the last step down."""
+    X, h0, ZR, RH, C, Hout, resets, reset_rows, keep = cache
+    p = cell.p
+    T, S, H = Hout.shape
+    # the state each step read
+    Hprev = np.concatenate([h0[None], Hout[:-1]])
+    if resets is not None:
+        Hprev[resets] = 0.0
+    if keep is not None:
+        # x * True is x * 1.0 and x * False is x * 0.0, so float masks
+        # give the bytes of the boolean ones
+        keep = keep.astype(Hout.dtype)
+        drop = 1.0 - keep
+    Dz, Dr, Dc = (np.empty_like(Hout) for _ in range(3))
+    Uz, Ur, Uh = p["Uz"], p["Ur"], p["Uh"]
+    dh = np.zeros((S, H), dtype=Hout.dtype)
+    # the factors of `backward` are taken per step: span-sized temporaries
+    # cost more in fresh pages than the calls they would save
+    for t in range(T - 1, -1, -1):
+        z, r, c, h = ZR[t, 0], ZR[t, 1], C[t], Hprev[t]
+        dh_total = dh + dH[t]
+        g = dh_total if keep is None else dh_total * keep[t]
+        one_z = 1.0 - z
+        dz = g * (c - h)
+        dh_prev = g * one_z
+        da_c = np.multiply(g * z, 1.0 - c * c, out=Dc[t])
+        drh = da_c @ Uh
+        dr = drh * h
+        dh_prev += drh * r
+        da_z = np.multiply(dz * z, one_z, out=Dz[t])
+        da_r = np.multiply(dr * r, 1.0 - r, out=Dr[t])
+        dh_prev += da_z @ Uz
+        dh_prev += da_r @ Ur
+        if keep is not None:
+            dh_prev += dh_total * drop[t]
+        if len(reset_rows[t]):
+            dh_prev[reset_rows[t]] = 0.0
+        dh = dh_prev
+    return span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads)
+
+
+def span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads):
+    """The products of `backward` that wait for no other step, over a span:
+    D{z,r,c} (T, S, H) are the gate pre-activation gradients of each step.
+    Adds the weight and bias gradients to `grads` in reverse step order,
+    the order of `backward` run from the last step down, and returns
+    dX (T, S, D)."""
+    p = cell.p
+    pre = cell.prefix + "."
+    for gate, D, Hin in (("h", Dc, RH), ("z", Dz, Hprev), ("r", Dr, Hprev)):
+        add_span_grads(grads, pre + "W" + gate, pre + "b" + gate, D, X)
+        add_span_grads(grads, pre + "U" + gate, None, D, Hin)
+    return Dc @ p["Wh"] + Dz @ p["Wz"] + Dr @ p["Wr"]
+
+
+def add_span_grads(grads, w_name, b_name, D, X, reverse=True):
+    """Add the sum over steps t of D[t].T @ X[t] to grads[w_name] and of D[t]'s
+    column sums to grads[b_name] (skipped when None), for stacks D (T, S, N)
+    and X (T, S, K).  Each step's product is a slice of one 3-d product, and
+    the slices are summed over axis 0 in the order a step loop accumulated
+    them: last step first when `reverse`.  One (T*S)-row product would round
+    differently."""
+    order = slice(None, None, -1 if reverse else 1)
+    grads[w_name] += (D.transpose(0, 2, 1) @ X)[order].sum(axis=0)
+    if b_name is not None:
+        grads[b_name] += D.sum(axis=1)[order].sum(axis=0)
+
+
+def add_rows_at(table, ids, rows):
+    """np.add.at(table, ids, rows) for a C-contiguous 2-d table: row ids[i]
+    gets rows[i] added, one row after the other.  The rows go in as single
+    elements through np.add.at's fast 1-d path, so every element sums its
+    values in the same order and the bytes match the 2-d call."""
+    if not table.flags.c_contiguous:
+        raise ValueError("table must be C-contiguous")
+    width = table.shape[1]
+    flat = (np.asarray(ids).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(table.reshape(-1), flat, rows.reshape(-1))
+
+
 def row_views(a):
     """A stack of rows (B, D) viewed as (B, 1, D).  Its product with a
     matrix is B vector-matrix products, so row i of the result has the bytes
@@ -153,12 +304,12 @@ def clip_global_norm(grads, clip):
 
 
 def sgd_step(params, grads, lr, clip=None):
-    """In-place SGD update with optional global-norm clipping."""
-    if clip is not None:
-        clip_global_norm(grads, clip)
+    """In-place SGD update with optional global-norm clipping.  Returns the
+    global norm of the gradients before clipping."""
+    norm = clip_global_norm(grads, clip)
     for name, p in params.items():
         p -= lr * grads[name]
-    return params
+    return norm
 
 
 def zeros_like_params(params):

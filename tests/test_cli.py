@@ -157,6 +157,65 @@ def test_data_errors_exit_2(ws, tmp_path):
         assert "data error:" in err
 
 
+def _with_field(text, key, value):
+    """The SLF text with the first arc's `key` field set to `value`, and that
+    line's number."""
+    lines = text.splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("J="))
+    lines[n] = "\t".join(key + "=" + value if f.startswith(key + "=") else f
+                         for f in lines[n].split("\t"))
+    return "\n".join(lines) + "\n", n + 1
+
+
+def test_data_errors_name_the_file_and_line(ws, tmp_path):
+    fx = ws / "fx"
+    lat_dir = tmp_path / "lat"
+    lat_dir.mkdir()
+    for name in ("utt0000.slf", "utt0001.slf"):
+        (lat_dir / name).write_text((fx / "lattices" / name).read_text())
+    text = (fx / "lattices" / "utt0002.slf").read_text()
+    bad = lat_dir / "utt0002.slf"
+    bad.write_text(text.replace("S=0\t", "S=999\t", 1))
+    line = next(i for i, l in enumerate(text.splitlines(), 1) if "S=0\t" in l)
+    for jobs in (1, 2):
+        code, _, err = run(["rescore", "--lattices", lat_dir, "--model", ws / "uni.model",
+                            "--jobs", jobs])
+        assert code == 2, err
+        assert err == "data error: %s: line %d: arc endpoint out of range\n" % (bad, line)
+
+
+def test_non_finite_scores_exit_2(ws, tmp_path):
+    fx = ws / "fx"
+    text = (fx / "lattices" / "utt0000.slf").read_text()
+    for key, value in (("a", "nan"), ("l", "inf"), ("l", "+inf"), ("a", "NaN")):
+        slf, line = _with_field(text, key, value)
+        path = tmp_path / "bad.slf"
+        path.write_text(slf)
+        code, out, err = run(["nbest", "--lattice", path])
+        assert code == 2 and out == "", err
+        assert err == "data error: %s: line %d: field %s is not finite: %r\n" % (
+            path, line, key, value)
+    # -inf is a zero probability: the lm floor takes it, the path still ranks
+    slf, _ = _with_field(text, "l", "-inf")
+    path = tmp_path / "zero.slf"
+    path.write_text(slf)
+    run_ok(["nbest", "--lattice", path])
+    nb = tmp_path / "list.nbest"
+    nb.write_text("1.0\t2.0\t-1.0\ta b\nnan\t2.0\t-1.0\ta c\n")
+    code, _, err = run(["nbest", "--from-list", nb])
+    assert code == 2
+    assert err == "data error: %s: line 2: score is not finite\n" % nb
+    arpa_lines = (fx / "baseline.arpa").read_text().splitlines()
+    n = next(i for i, l in enumerate(arpa_lines) if l.startswith("\\1-grams:")) + 1
+    arpa_lines[n] = "\t".join(["nan"] + arpa_lines[n].split("\t")[1:])
+    arpa = tmp_path / "nan.arpa"
+    arpa.write_text("\n".join(arpa_lines) + "\n")
+    code, _, err = run(["ppl", "--test", fx / "test.txt", "--arpa", arpa,
+                        "--vocab", fx / "vocab.txt"])
+    assert code == 2
+    assert err == "data error: %s: line %d: numeric field is not finite\n" % (arpa, n + 1)
+
+
 def test_numeric_divergence_exits_3(ws, tmp_path):
     fx = ws / "fx"
     out_model = tmp_path / "diverged.model"

@@ -96,6 +96,35 @@ def test_train_reports_token_count_and_speed():
     assert log["wps"] > 0 and log["seconds"] > 0
 
 
+@pytest.mark.parametrize("arch", ["uni", "bi"])
+def test_train_reports_gradient_norms_and_clipped_updates(arch, monkeypatch):
+    vocab, corpus = tiny_setup()
+    norms = []
+    step = nn.sgd_step
+
+    def counting_step(*args, **kwargs):
+        norms.append(step(*args, **kwargs))
+        return norms[-1]
+
+    monkeypatch.setattr(nn, "sgd_step", counting_step)
+
+    def make():
+        cls = BiRnnlm if arch == "bi" else UniRnnlm
+        return cls(vocab, hidden=8, embed=4, seed=3)
+
+    # a tiny clip clips every update; norms are taken before clipping
+    log = make().train(corpus, Hyper(epochs=2, num_streams=2, bptt=4, clip=1e-6))
+    per_epoch = len(norms) // 2
+    assert per_epoch > 1 and len(norms) == 2 * per_epoch
+    assert log["clipped_updates"] == [per_epoch, per_epoch]
+    assert log["grad_norm_max"] == [max(norms[:per_epoch]), max(norms[per_epoch:])]
+    assert min(norms) > 1e-6
+    norms.clear()
+    log = make().train(corpus, Hyper(epochs=2, num_streams=2, bptt=4, clip=1e6))
+    assert log["clipped_updates"] == [0, 0]
+    assert log["grad_norm_max"] == [max(norms[:per_epoch]), max(norms[per_epoch:])]
+
+
 def test_su_with_zero_future_words_equals_uni():
     vocab, corpus = tiny_setup()
     uni = UniRnnlm(vocab, hidden=8, embed=4, seed=9)

@@ -142,6 +142,16 @@ def test_sgd_step_updates_in_place():
     assert np.allclose(p["w"], [0.95, 2.1], atol=1e-15)
 
 
+def test_sgd_step_returns_the_pre_clip_norm():
+    p = {"a": np.array([1.0]), "b": np.array([1.0])}
+    g = {"a": np.array([3.0]), "b": np.array([4.0])}
+    assert nn.sgd_step(p, g, lr=1.0, clip=2.5) == 5.0
+    assert p["a"][0] == -0.5 and p["b"][0] == -1.0
+    g = {"a": np.array([3.0]), "b": np.array([4.0])}
+    assert nn.sgd_step(p, g, lr=1.0) == 5.0
+    assert p["a"][0] == -3.5 and p["b"][0] == -5.0
+
+
 def test_uniform_init_is_seed_deterministic():
     a = nn.uniform_init(np.random.default_rng(9), (3, 3))
     b = nn.uniform_init(np.random.default_rng(9), (3, 3))
