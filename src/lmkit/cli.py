@@ -367,8 +367,9 @@ def cmd_rescore(args):
             results = pool.imap(_rescore_one, tasks)
         else:
             results = map(_rescore_one, tasks)
-        # each result is written and dropped as it arrives, so memory does
-        # not grow with the number of lattices
+        # each result is written and dropped as it arrives, and every cache
+        # is bounded (lattice.CACHE_ENTRIES), so memory does not grow with
+        # the number of lattices
         for name, (words, text) in zip(names, results):
             utt = name[:-4]
             if args.out_dir:

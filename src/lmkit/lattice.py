@@ -17,18 +17,21 @@ those promises distinct.
 Rescoring relaxes the nodes one by one in topological order and batches
 model work over frontiers.  A state is one record per (node, history,
 window) key, updated in place: an arrival that improves it only records
-its parent's hidden vector and its last word.  A node is ready once all of
+the state it came from and the word it took.  A node is ready once all of
 its predecessors have relaxed.  When the walk reaches a node whose model
-work is not done, that work is done for every ready node at once: the
-surviving arrival of each of their states is advanced in one model call
-over the distinct word sequences the cache lacks, their transitions
-(state, arc, window) are collected in relaxation order, and the distinct
-(sequence, window) distributions the cache lacks come from one more call.
-Each node's transitions then relax in that order with a strict
-comparison, as a per-arc loop would.  The model's stacked calls are row
-exact (a row's bytes never depend on the other rows of its batch), so the
-output depends neither on how rows were batched nor on whether a cache was
-used; without a cache, vectors are still shared within one call.
+work is not done, that work is done for every ready node at once: each of
+their states interns its word sequence as one int, (parent sequence id,
+word id) -> sequence id, the surviving arrival of each state is advanced
+in one model call over the distinct sequences the cache lacks, their
+transitions (state, arc, window) are collected in relaxation order, and
+the distinct (sequence id, window) distributions the cache lacks come from
+one more call.  Each node's transitions then relax in that order with a
+strict comparison, as a per-arc loop would.  The model's stacked calls are
+row exact (a row's bytes never depend on the other rows of its batch), so
+the output depends neither on how rows were batched nor on whether a cache
+was used.  Without a cache, one cache for the call alone still shares
+vectors within the lattice; a cache passed in is bounded (CACHE_ENTRIES)
+and dropped whole between lattices once it outgrows the bound.
 
 States are numbered as the walk reaches their nodes, so the transitions
 come out in (start, arc, end) order with every arc running from a lower to
@@ -478,13 +481,29 @@ def prune(lat, beam, ac_scale=1.0, lm_scale=1.0):
 
 # ---- rescoring ----
 
+# A cache holding more hidden vectors and distributions than this is
+# dropped when the next lattice starts.  Most hits come from within one
+# lattice: over the benchmark's 720 rescore lattices (seed 1) and criterion
+# 10's 200 sausages, every hit ratio at this bound stayed within 0.045 of
+# an unbounded cache's, where 2,000 lost up to 0.08 of the su hidden-state
+# hits for 5 MB less peak memory, and an unbounded cache grows with every
+# lattice (137k entries after one benchmark pass).
+CACHE_ENTRIES = 8000
+
+
 class ProbCache:
     """Memo for hidden states and output distributions during rescoring.
-    Hidden states are keyed by the exact word-id sequence consumed so far,
-    distributions additionally by the succeeding-word window.  A hit returns
-    the identical array it stored.  Nothing is ever evicted: the memo holds
-    every distinct sequence and (sequence, window) it has seen until it is
-    dropped, so its size grows with the lattices rescored through it.
+    Word sequences are interned: `seqs` maps (parent sequence id, word id)
+    to a sequence id, so a sequence of any length is one int.  Hidden
+    vectors are keyed by sequence id, distributions by (sequence id,
+    succeeding-word window).  A hit returns the identical array it stored.
+
+    The memo is bounded.  A rescoring call starts at a lattice boundary,
+    where no sequence id is in use; if the cache then holds more than
+    CACHE_ENTRIES vectors and distributions, it drops its intern table and
+    both memos together.  So it never holds more than the bound plus one
+    lattice's entries, however many lattices pass through it.  The hit and
+    miss counters keep counting across a drop.
 
     Misses are computed in batches, one per frontier of the walk (the nodes
     whose predecessors have all relaxed), and which rows share a batch
@@ -498,10 +517,15 @@ class ProbCache:
     one-at-a-time loop."""
 
     def __init__(self):
-        self.h = {}
-        self.dist = {}
         self.h_hits = self.h_misses = 0
         self.dist_hits = self.dist_misses = 0
+        self.clear()
+
+    def clear(self):
+        """Drop every entry and sequence id; the counters stay."""
+        self.seqs = {}
+        self.h = {}
+        self.dist = {}
 
 
 def _stack(rows):
@@ -509,46 +533,45 @@ def _stack(rows):
     return np.concatenate(rows).reshape(len(rows), -1)
 
 
-def _fill_hidden(model, cache, memo, groups):
-    """Give every state its hidden vector: the parent's vector advanced by
-    the state's last word.  `groups` holds the states by distinct word
-    sequence; one model call computes the sequences `memo` lacks."""
+def _fill_hidden(model, cache, groups):
+    """Give every state its hidden vector: its parent's vector advanced by
+    the word that reached it.  `groups` maps each sequence id to its states;
+    one model call computes the sequences the cache lacks."""
     todo = []
-    for group in groups:
-        h = memo.get(group[0].full)
+    for seq, group in groups.items():
+        h = cache.h.get(seq)
         if h is None:
             todo.append(group)
         else:
             for st in group:
                 st.h = h
-    if cache is not None:
-        cache.h_hits += len(groups) - len(todo)
-        cache.h_misses += len(todo)
+    cache.h_hits += len(groups) - len(todo)
+    cache.h_misses += len(todo)
     if not todo:
         return
     if len(todo) == 1:
         # a lone row needs no batch assembly
         st = todo[0][0]
-        hs = (model.advance(st.h_prev, st.full[-1]),)
+        hs = (model.advance(st.prev.h, st.word),)
     else:
-        hs = model.advance(_stack([group[0].h_prev for group in todo]),
-                           [group[0].full[-1] for group in todo])
+        hs = model.advance(_stack([group[0].prev.h for group in todo]),
+                           [group[0].word for group in todo])
     for group, h in zip(todo, hs):
-        memo[group[0].full] = h
+        cache.h[group[0].seq] = h
         for st in group:
             st.h = h
 
 
-def _output_dists(model, cache, memo, keys, users, lookups, alpha):
-    """The output distribution of every distinct (word sequence, window)
-    key in `keys`, computed from the hidden vector of the matching state in
-    `users`, in one model call over the keys `memo` lacks.  `lookups`
+def _output_dists(model, cache, keys, users, lookups, alpha):
+    """The output distribution of every distinct (sequence id, window) key
+    in `keys`, computed from the hidden vector of the matching state in
+    `users`, in one model call over the keys the cache lacks.  `lookups`
     transitions asked for these keys."""
+    memo = cache.dist
     dists = [memo.get(key) for key in keys]
     todo = [i for i, dist in enumerate(dists) if dist is None]
-    if cache is not None:
-        cache.dist_hits += lookups - len(todo)
-        cache.dist_misses += len(todo)
+    cache.dist_hits += lookups - len(todo)
+    cache.dist_misses += len(todo)
     if len(todo) == 1:
         i = todo[0]
         dists[i] = memo[keys[i]] = model.output_dist(
@@ -595,17 +618,19 @@ def _trunc_hist(seq, n_hist):
 
 class _State:
     """The best arrival so far at one (node, history, window) key, updated
-    in place when a better one arrives.  Its hidden vector h is computed
-    once every predecessor of the node has relaxed, from the parent's vector
-    h_prev and the last word of `full`; `id` is its output node id, given
-    when the walk reaches the node."""
+    in place when a better one arrives: `prev` is the state it came from
+    and `word` the word id of the arc it took.  Once every predecessor of
+    the node has relaxed, the state gets its interned sequence id `seq`
+    and its hidden vector h; `id` is its output node id, given when the
+    walk reaches the node."""
 
-    __slots__ = ("g", "full", "h_prev", "h", "id")
+    __slots__ = ("g", "prev", "word", "seq", "h", "id")
 
-    def __init__(self, g, full, h_prev):
+    def __init__(self, g, prev, word):
         self.g = g
-        self.full = full
-        self.h_prev = h_prev
+        self.prev = prev
+        self.word = word
+        self.seq = None
         self.h = None
         self.id = None
 
@@ -614,6 +639,12 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
              ac_scale, lm_scale):
     if n_hist < 1:
         raise ValueError("history length must be at least 1")
+    if cache is None:
+        # a cache for this call alone, so vectors are still shared within it
+        cache = ProbCache()
+    elif len(cache.h) + len(cache.dist) > CACHE_ENTRIES:
+        cache.clear()
+    seqs = cache.seqs
     vocab = model.vocab
     k = model.k
     final = lat.final
@@ -640,14 +671,16 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
             for arc in node_arcs:
                 groups.setdefault(arc[2], []).append(arc)
             by_word.append(groups)
-    h_memo = cache.h if cache is not None else {}
-    dist_memo = cache.dist if cache is not None else {}
 
-    full0 = (vocab.sent_begin,)
-    hist0 = full0 if no_merge else _trunc_hist(full0, n_hist)
+    # the empty sequence, whose vector the sentence-begin token advances;
+    # its id -1 is never interned
+    root = _State(None, None, None)
+    root.seq, root.h = -1, model.zero_state()
+    first = (vocab.sent_begin,)
+    hist0 = first if no_merge else _trunc_hist(first, n_hist)
     final_key = (None, None)
     states = [dict() for _ in lat.nodes]
-    states[lat.initial][(hist0, None)] = _State(0.0, full0, model.zero_state())
+    states[lat.initial][(hist0, None)] = _State(0.0, root, vocab.sent_begin)
     remaining = [len(aids) for aids in lat.in_arcs]
     ready = [lat.initial]   # nodes whose predecessors have all relaxed
     pending = {}            # node -> (sorted states, transitions, dists)
@@ -663,34 +696,25 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
             # (state, arc, window) of its nodes in relaxation order, one
             # advance call and one output_dist call
             frontier = []
-            seqs = {}     # word sequence -> its position in groups
-            groups = []   # the states of each distinct word sequence
+            groups = {}   # sequence id -> the states that consumed it
             for v in ready:
                 here = sorted(states[v].items())
-                where = []
                 for _, st in here:
-                    seq = seqs.get(st.full)
-                    if seq is None:
-                        seq = seqs[st.full] = len(groups)
-                        groups.append([st])
-                    else:
-                        groups[seq].append(st)
-                    where.append(seq)
-                frontier.append((v, here, where))
+                    st.seq = seqs.setdefault((st.prev.seq, st.word), len(seqs))
+                    groups.setdefault(st.seq, []).append(st)
+                frontier.append((v, here))
             ready = []
-            _fill_hidden(model, cache, h_memo, groups)
-            # the distinct (word sequence, window) keys of the frontier, and
-            # for each the state whose vector it uses; index finds a key's
-            # position by (sequence position, window), which hashes faster
+            _fill_hidden(model, cache, groups)
+            # the distinct (sequence id, window) keys of the frontier, and
+            # for each the state whose vector it uses
             keys = []
             users = []
             index = {}
             prepared = []
             n_moves = 0
-            for v, here, where in frontier:
+            for v, here in frontier:
                 moves = []
-                for ((_, fut), st), seq in zip(here, where):
-                    full = st.full
+                for (hist, fut), st in here:
                     if fut:
                         state_arcs = by_word[v].get(fut[0], ())
                         tail = fut[1:]
@@ -698,36 +722,39 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
                         state_arcs = out_arcs[v]
                     for arc in state_arcs:
                         end = arc[1]
-                        full_v = full + (arc[2],)
-                        hist_v = full_v if no_merge else _trunc_hist(full_v, n_hist)
+                        # the last n_hist - 1 words of the sequence, or all
+                        # of them without merging
+                        hist_v = hist + (arc[2],)
+                        if not no_merge:
+                            hist_v = _trunc_hist(hist_v, n_hist)
                         cands = by_prefix[end].get(tail, ()) if fut else futures[end]
                         for fut_v in cands:
-                            i = index.get((seq, fut_v))
+                            dkey = (st.seq, fut_v)
+                            i = index.get(dkey)
                             if i is None:
-                                i = index[(seq, fut_v)] = len(keys)
-                                keys.append((full, fut_v))
+                                i = index[dkey] = len(keys)
+                                keys.append(dkey)
                                 users.append(st)
-                            dkey = final_key if end == final else (hist_v, fut_v)
-                            moves.append((st, arc, i, full_v, dkey))
+                            skey = final_key if end == final else (hist_v, fut_v)
+                            moves.append((st, arc, i, skey))
                 n_moves += len(moves)
                 prepared.append((v, here, moves))
-            dists = _output_dists(model, cache, dist_memo, keys, users, n_moves,
-                                  alpha)
+            dists = _output_dists(model, cache, keys, users, n_moves, alpha)
             for v, here, moves in prepared:
                 pending[v] = (here, moves, dists)
         here, moves, dists = pending.pop(u)
         for skey, st in here:
             st.id = len(origin)
             origin.append((u,) + skey)
-        for st, (aid, end, _, slot, pen, acw, old_lm), i, full_v, dkey in moves:
+        for st, (aid, end, w, slot, pen, acw, old_lm), i, skey in moves:
             p = dists[i].item(slot)
             new_lm = combine(old_lm, (math.log(p) if p > 0.0 else NEG_INF) - pen)
             g = st.g + acw + lm_scale * new_lm
-            dst = states[end].get(dkey)
+            dst = states[end].get(skey)
             if dst is None:
-                dst = states[end][dkey] = _State(g, full_v, st.h)
+                dst = states[end][skey] = _State(g, st, w)
             elif g > dst.g:
-                dst.g, dst.full, dst.h_prev = g, full_v, st.h
+                dst.g, dst.prev, dst.word = g, st, w
             transitions.append((st, aid, dst, new_lm))
         for arc in out_arcs[u]:
             remaining[arc[1]] -= 1

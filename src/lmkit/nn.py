@@ -1,5 +1,5 @@
 """Dense kernels shared by the recurrent models: GRU cell, stable softmax,
-cross entropy, clipped SGD, and the binary model container.
+clipped SGD, and the binary model container.
 
 The GRU comes twice.  GruCell.step does one step over a batch of rows for
 the scorers, and GruCell.backward is its backward pass, kept as the
@@ -39,20 +39,6 @@ def softmax(logits, axis=-1):
     shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def cross_entropy_grad(dist, targets):
-    """Total NLL of `targets` under rows of `dist`, and d(loss)/d(logits).
-
-    `dist` is (B, V) softmax output, `targets` is (B,) int.  The gradient
-    follows from dL/dy = p - onehot for a softmax + NLL pair.
-    """
-    rows = np.arange(len(targets))
-    picked = dist[rows, targets]
-    loss = -np.sum(np.log(picked))
-    dlogits = dist.copy()
-    dlogits[rows, targets] -= 1.0
-    return loss, dlogits
 
 
 class GruCell:

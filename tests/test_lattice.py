@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from lmkit import lattice as lattice_mod
 from lmkit.corpus import build_vocabulary
 from lmkit.interpolate import InterpConfig, linear, loglinear_score, safe_ln, two_stage
 from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
@@ -317,16 +318,45 @@ def test_merged_best_never_beats_full_context_best():
 def test_rescore_preserves_words_acoustics_and_origins():
     vocab, uni, su1, _ = _rnn_setup()
     lat = random_dag_lattice(random.Random(47), ["u", "v", "w", "x"])
-    out = rescore_lattice_uni(lat, uni)
-    assert len(out.node_origin) == len(out.nodes)
-    assert len(out.arc_origin) == len(out.arcs)
-    for j, a in enumerate(out.arcs):
-        src = lat.arcs[out.arc_origin[j]]
-        assert a.word == src.word and a.ac == src.ac
-    for out_id, (orig, hist, fut) in enumerate(out.node_origin):
-        assert out.nodes[out_id].time == lat.nodes[orig].time
-    # surfaces survive rescoring
-    assert set(_paths_by_surface(out)) == set(_paths_by_surface(lat))
+    for model in (uni, su1):
+        entry = rescore_lattice_su if model.k else rescore_lattice_uni
+        for merge, args in sorted(MERGE_ARGS.items()):
+            out = entry(lat, model, **args)
+            assert len(out.node_origin) == len(out.nodes)
+            assert len(out.arc_origin) == len(out.arcs)
+            for out_id, (orig, hist, fut) in enumerate(out.node_origin):
+                assert out.nodes[out_id].time == lat.nodes[orig].time
+            assert out.node_origin[out.initial] == (lat.initial,
+                                                    (vocab.sent_begin,), None)
+            assert out.node_origin[out.final] == (lat.final, None, None)
+            for j, a in enumerate(out.arcs):
+                src = lat.arcs[out.arc_origin[j]]
+                assert a.word == src.word and a.ac == src.ac
+                start, hist, fut = out.node_origin[a.start]
+                end, hist_v, fut_v = out.node_origin[a.end]
+                assert (start, end) == (src.start, src.end)
+                w = vocab.id_of(a.word)
+                # the end's history is the start's plus the arc's word, cut
+                # to n_hist - 1 words when merging
+                if a.end == out.final:
+                    assert (hist_v, fut_v) == (None, None)
+                else:
+                    want = hist + (w,)
+                    if merge != "full":
+                        want = want[-(args["n_hist"] - 1):]
+                    assert hist_v == want, merge
+                    assert len(fut_v) == model.k
+                # a promised window starts with the arc's word and moves on
+                # by one word; past the final node it is padding
+                if fut:
+                    assert fut[0] == w
+                    tail = fut_v[:-1] if fut_v is not None else \
+                        (vocab.pad,) * (model.k - 1)
+                    assert fut[1:] == tail
+                else:
+                    assert fut == (() if a.start != out.initial else None)
+            # surfaces survive rescoring
+            assert set(_paths_by_surface(out)) == set(_paths_by_surface(lat))
 
 
 def test_history_merging_duplicates_converging_node():
@@ -527,6 +557,54 @@ def test_frontier_batching_needs_fewer_model_calls_than_nodes():
     warm = [write_slf(rescore_lattice_su(mid, su3, cache=cache)) for mid in mids]
     assert cold == fresh == warm
     assert cache.h_hits > 0 and cache.dist_hits > 0
+
+
+def test_bounded_cache_drops_between_lattices_and_keeps_counting(monkeypatch):
+    # with a small bound the cache drops its entries many times; a drop
+    # happens only at a lattice boundary, so the texts stay the uncached
+    # ones, the entries never exceed the bound plus the lattice just
+    # rescored, and the counters count on across drops
+    _, ngram, uni, _, su3 = _scorer_setup()
+    bound = 60
+    monkeypatch.setattr(lattice_mod, "CACHE_ENTRIES", bound)
+    rng = random.Random(73)
+    lats = []
+    for _ in range(14):
+        ref = [rng.choice(SHORTLIST_WORDS) for _ in range(rng.randint(3, 6))]
+        lats += [random_dag_lattice(rng, SHORTLIST_WORDS),
+                 confusion_sausage(ngram, ref, rng.randrange(len(ref)),
+                                   rng.choice(SHORTLIST_WORDS), 0.5, rng),
+                 _dense_network(rng, SHORTLIST_WORDS, rng.randint(3, 5))]
+
+    def entries(cache):
+        return len(cache.h) + len(cache.dist)
+
+    def counts(cache):
+        return (cache.h_hits, cache.h_misses, cache.dist_hits, cache.dist_misses)
+
+    for model in (uni, su3):
+        entry = rescore_lattice_su if model.k else rescore_lattice_uni
+        cache = ProbCache()
+        alone_total = [0, 0, 0, 0]
+        drops = 0
+        for lat in lats:
+            plain = write_slf(entry(lat, model, cache=None))
+            alone = ProbCache()
+            assert write_slf(entry(lat, model, cache=alone)) == plain
+            alone_total = [a + b for a, b in zip(alone_total, counts(alone))]
+            before = counts(cache)
+            drops += entries(cache) > bound
+            assert write_slf(entry(lat, model, cache=cache)) == plain
+            assert entries(cache) <= bound + entries(alone)
+            assert all(a >= b for a, b in zip(counts(cache), before))
+        assert drops >= 5
+        # a lattice looks up the same keys however full the cache is, and
+        # hits at least what a fresh cache would
+        h_hits, h_misses, dist_hits, dist_misses = counts(cache)
+        assert h_hits + h_misses == alone_total[0] + alone_total[1]
+        assert dist_hits + dist_misses == alone_total[2] + alone_total[3]
+        assert h_hits >= alone_total[0] and dist_hits >= alone_total[2]
+        assert dist_hits > alone_total[2]
 
 
 def test_combine_rule_validation():

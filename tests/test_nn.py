@@ -32,17 +32,6 @@ def test_softmax_shift_invariant_and_normalized():
     assert np.all(d > 0)
 
 
-def test_cross_entropy_grad_is_dist_minus_onehot():
-    dist = nn.softmax(np.array([[2.0, 0.5, -1.0], [0.0, 0.0, 0.0]]))
-    targets = np.array([1, 2])
-    loss, dlogits = nn.cross_entropy_grad(dist, targets)
-    want = -math.log(dist[0, 1]) - math.log(dist[1, 2])
-    assert abs(loss - want) < 1e-12
-    onehot = np.zeros_like(dist)
-    onehot[[0, 1], targets] = 1.0
-    assert np.allclose(dlogits, dist - onehot, atol=1e-15)
-
-
 def _scalar_cell():
     rng = np.random.default_rng(7)
     cell = nn.GruCell(1, 1, rng)
