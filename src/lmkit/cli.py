@@ -208,19 +208,17 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 # ppl
 
-def _linear_scorer(arpa, model, lam):
+def _linear_scorer(arpa, model, lam, sentences):
+    """Per-word scores of the linear mix for each sentence; lam 0 and 1 give
+    either model's own scores, bit for bit."""
     if lam == 0.0:
-        return arpa.sentence_word_logprobs
+        return [arpa.sentence_word_logprobs(ids) for ids in sentences]
+    lp_model = model.word_logprobs(sentences)
     if lam == 1.0:
-        return model.sentence_word_logprobs
-
-    def fn(ids):
-        lp_a = arpa.sentence_word_logprobs(ids)
-        lp_b = model.sentence_word_logprobs(ids)
-        return [interpolate.safe_ln(
-                    interpolate.linear(math.exp(a), math.exp(b), lam))
-                for a, b in zip(lp_a, lp_b)]
-    return fn
+        return lp_model
+    return [[interpolate.safe_ln(interpolate.linear(math.exp(a), math.exp(b), lam))
+             for a, b in zip(arpa.sentence_word_logprobs(ids), lp_b)]
+            for ids, lp_b in zip(sentences, lp_model)]
 
 
 def cmd_ppl(args):
@@ -245,23 +243,25 @@ def cmd_ppl(args):
 
     cfg = _interp_config(args)
     test = corpus_mod.TokenizedCorpus.from_file(vocab, args.test)
+    sentences = test.sentences
+    # the recurrent models score the whole test set through one prefix trie,
+    # with the bytes of scoring each sentence alone
     if su is not None:
         scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, args.alpha)
-        # one sentence per call keeps the scorer's prefix trie per sentence
-        report = evaluate.pseudo_perplexity(
-            lambda ids: scorer.word_scores([ids])[0], test)
+        scores = scorer.word_scores(sentences)
     elif arpa is not None and model is not None:
-        report = evaluate.perplexity(
-            _linear_scorer(arpa, model, args.lambda1), test)
-    elif model is not None and model.arch == "uni":
-        report = evaluate.perplexity(model.sentence_word_logprobs, test)
-    elif model is not None and model.arch == "su":
-        report = evaluate.pseudo_perplexity(
-            lambda ids: model.sentence_word_logprobs(ids, args.alpha), test)
+        scores = _linear_scorer(arpa, model, args.lambda1, sentences)
+    elif model is not None and model.arch == "bi":
+        scores = [model.sentence_word_logprobs(ids) for ids in sentences]
     elif model is not None:
-        report = evaluate.pseudo_perplexity(model.sentence_word_logprobs, test)
+        scores = model.word_logprobs(sentences, args.alpha if model.arch == "su" else 1.0)
     else:
-        report = evaluate.perplexity(arpa.sentence_word_logprobs, test)
+        scores = [arpa.sentence_word_logprobs(ids) for ids in sentences]
+    pseudo = su is not None or (model is not None and model.arch != "uni")
+    measure = evaluate.pseudo_perplexity if pseudo else evaluate.perplexity
+    # evaluate asks for the sentences' scores in corpus order
+    in_order = iter(scores)
+    report = measure(lambda ids: next(in_order), test)
 
     for line in report.lines():
         print(line)
@@ -393,9 +393,8 @@ def cmd_tune(args):
     arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
     test = corpus_mod.TokenizedCorpus.from_file(uni.vocab, args.test)
     pair_lists = []
-    for ids in test.sentences:
+    for ids, lp_b in zip(test.sentences, uni.word_logprobs(test.sentences)):
         lp_a = arpa.sentence_word_logprobs(ids)
-        lp_b = uni.sentence_word_logprobs(ids)
         pair_lists.append([(math.exp(a), math.exp(b))
                            for a, b in zip(lp_a, lp_b)])
     lam1, ppl1, table = interpolate.tune_linear(pair_lists)
@@ -411,8 +410,7 @@ def cmd_tune(args):
     # remix cheaply: freeze the linear stage, grid the log-linear weight
     flat_lin = []
     flat_su = []
-    for sent_pairs, ids in zip(pair_lists, test.sentences):
-        lp_s = su.sentence_word_logprobs(ids, args.alpha)
+    for sent_pairs, lp_s in zip(pair_lists, su.word_logprobs(test.sentences, args.alpha)):
         for (p_a, p_b), s in zip(sent_pairs, lp_s):
             flat_lin.append(interpolate.safe_ln(
                 interpolate.linear(p_a, p_b, lam1)))

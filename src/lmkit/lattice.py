@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interpolate
+from . import interpolate, models
 from .corpus import DataError, bad_score
 
 NEG_INF = float("-inf")
@@ -886,86 +886,46 @@ class TwoStageScorer:
     def word_scores(self, seqs):
         """Per-word scores of encoded sentences (begin and end tokens
         included): one list per sentence, one score per position after the
-        begin token.  The sentences are merged into a prefix trie held only
-        for this call: each model runs one batched step per trie depth over
-        the distinct prefixes there, one output layer over the distinct
-        prefixes (uni) or (prefix, window) pairs (su), and every distinct
-        (prefix, word, window) is combined once."""
+        begin token.  Both models score the sentences through one
+        models.PrefixTrie held only for this call, depth by depth, so a
+        sentence scores the same in any set, and every distinct (prefix,
+        word, window) is combined once."""
         uni, su = self.uni, self.su
-        vocab = uni.vocab
-        k = su.k if su is not None else 0
-        # levels[t - 1] holds the prefixes ids[:t] as {(parent row, last
-        # word): row} and their (row, window) pairs as {pair: column}; rows
-        # and columns count up in insertion order
-        levels = []
-        walks = []
-        for ids in seqs:
-            row = 0
-            walk = []
-            for t in range(1, len(ids)):
-                if t > len(levels):
-                    levels.append(({}, {}))
-                rows, pairs = levels[t - 1]
-                row = rows.setdefault((row, ids[t - 1]), len(rows))
-                win = ()
-                if k:
-                    win = tuple(ids[t + 1:t + 1 + k])
-                    win += (vocab.pad,) * (k - len(win))
-                walk.append((row, pairs.setdefault((row, win), len(pairs))))
-            walks.append(walk)
-
-        dists = []
-        h_u = uni.zero_state()[None, :]
-        h_s = su.zero_state()[None, :] if su is not None else None
-        for rows, pairs in levels:
-            parents, words = zip(*rows)
-            h_u = uni.advance_rows(h_u[list(parents)], words)
-            dist_s = None
-            if su is not None:
-                h_s = su.advance_rows(h_s[list(parents)], words)
-                pair_rows, wins = zip(*pairs)
-                dist_s = su.output_dist_rows(
-                    h_s[list(pair_rows)],
-                    np.array(wins, dtype=np.int64) if k else None, self.alpha)
-            dists.append((uni.output_dist_rows(h_u), dist_s))
-
+        trie = models.PrefixTrie(seqs, su.k if su is not None else 0, uni.vocab.pad)
+        dists_s = trie.dists(su, self.alpha) if su is not None else [None] * len(trie.visits)
         cfg = self.config
-        p_ng = {}
-        scores = {}
-        log_zs = {}
+        out = [[] for _ in seqs]
+        for t, (dist_u, dist_s, visits) in enumerate(zip(trie.dists(uni), dists_s, trie.visits), 1):
+            # every key below holds for this depth only
+            p_ng, scores, log_zs = {}, {}, {}
 
-        def combined(t, ids, row, col, w):
-            p = p_ng.get((t, row, w))
-            if p is None:
-                p = p_ng[(t, row, w)] = math.exp(self.ngram.logprob(tuple(ids[:t]), w))
-            dist_u, dist_s = dists[t - 1]
-            p_u = math.exp(uni.word_logprob_from_dist(dist_u[row], w))
-            if su is None:
-                return interpolate.safe_ln(interpolate.linear(p, p_u, cfg.lambda1))
-            p_s = math.exp(su.word_logprob_from_dist(dist_s[col], w))
-            return interpolate.two_stage(p, p_u, p_s, cfg)
+            def combined(ids, row, col, w):
+                p = p_ng.get((row, w))
+                if p is None:
+                    p = p_ng[(row, w)] = math.exp(self.ngram.logprob(tuple(ids[:t]), w))
+                p_u = math.exp(uni.word_logprob_from_dist(dist_u[row], w))
+                if su is None:
+                    return interpolate.safe_ln(interpolate.linear(p, p_u, cfg.lambda1))
+                p_s = math.exp(su.word_logprob_from_dist(dist_s[col], w))
+                return interpolate.two_stage(p, p_u, p_s, cfg)
 
-        out = []
-        for ids, walk in zip(seqs, walks):
-            sent_scores = []
-            for t, (row, col) in enumerate(walk, 1):
+            for i, row, col in visits:
+                ids = seqs[i]
                 w = ids[t]
-                score = scores.get((t, col, w))
+                score = scores.get((col, w))
                 if score is None:
-                    score = combined(t, ids, row, col, w)
+                    score = combined(ids, row, col, w)
                     if cfg.normalize_locally:
-                        log_z = log_zs.get((t, col))
+                        log_z = log_zs.get(col)
                         if log_z is None:
-                            all_scores = [combined(t, ids, row, col, c)
-                                          for c in self.candidates]
+                            all_scores = [combined(ids, row, col, c) for c in self.candidates]
                             log_z = all_scores[0]
                             for s in all_scores[1:]:
                                 log_z = _logadd(log_z, s)
-                            log_zs[(t, col)] = log_z
+                            log_zs[col] = log_z
                         score -= log_z
-                    scores[(t, col, w)] = score
-                sent_scores.append(score)
-            out.append(sent_scores)
+                    scores[(col, w)] = score
+                out[i].append(score)
         return out
 
 

@@ -14,6 +14,10 @@ sentences, so only per-word pseudo perplexity is meaningful for them.
 Gradients are hand derived; all three architectures train through one loop,
 `_sgd_train`: plain SGD with global-norm clipping.
 
+uni and su score through `advance` and `output_dist`, one state or a (B, H)
+stack whose row i has the bytes of the call on row i alone: per frontier in
+lattice rescoring, per depth of one `PrefixTrie` for any set of sentences.
+
 Training works a span at a time: a bptt span of the spliced streams (uni,
 su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
 Only the GRU recurrence loops over time (nn.gru_span); the future unit,
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .corpus import Vocabulary, future_window, make_null_aligned_batches, make_spliced_batches
+from .corpus import Vocabulary, make_null_aligned_batches, make_spliced_batches
 
 
 def smooth(logits, alpha):
@@ -122,6 +126,45 @@ def _output_loss(model, ctx, slots, mask, want_grads):
     return loss, tokens, dist
 
 
+class PrefixTrie:
+    """Encoded sentences (begin and end tokens included) merged into a prefix
+    trie.  Per depth t, a model makes one `advance` over the distinct
+    prefixes ids[:t] and one `output_dist` over the distinct prefixes
+    (k = 0) or (prefix, window) pairs, the window being the k ids after
+    position t, PAD past the end.  `visits[t - 1]` lists (sentence, prefix
+    row, pair row) for every sentence that reaches depth t.  The stacked
+    calls are row exact, so a sentence scores the same in any set."""
+
+    def __init__(self, seqs, k, pad):
+        levels = []
+        self.visits = visits = []
+        for i, ids in enumerate(seqs):
+            row = 0
+            padded = tuple(ids) + (pad,) * k
+            for t in range(1, len(ids)):
+                if t > len(levels):
+                    levels.append(({}, {}))
+                    visits.append([])
+                rows, pairs = levels[t - 1]
+                row = rows.setdefault((row, ids[t - 1]), len(rows))
+                pair = (row,) + padded[t + 1:t + 1 + k]
+                visits[t - 1].append((i, row, pairs.setdefault(pair, len(pairs))))
+        # per depth, for every model: parent rows, words, (row, *window) pairs
+        self.levels = [(*np.array(list(rows), dtype=np.int64).T,
+                        np.array(list(pairs), dtype=np.int64))
+                       for rows, pairs in levels]
+
+    def dists(self, model, alpha=1.0):
+        """Yield `model`'s output distributions depth by depth, so only one
+        depth's are held: one row per prefix when model.k is 0, else one per
+        pair (the trie's k must be the model's)."""
+        h = model.zero_state()[None]
+        for parents, words, pairs in self.levels:
+            h = model.advance(h[parents], words)
+            yield (model.output_dist(h[pairs[:, 0]], pairs[:, 1:], alpha) if model.k
+                   else model.output_dist(h, None, alpha))
+
+
 class UniRnnlm:
     """Left-to-right GRU language model.  With k > 0 (see SuRnnlm) a tanh
     feedforward unit over the k succeeding word embeddings joins the GRU
@@ -173,16 +216,15 @@ class UniRnnlm:
         """Output activations from state h and, when k > 0, the k succeeding
         word ids in `window`.  A stack of states (B, H) takes a (B, k) stack
         of windows, and row i equals the call on row i alone."""
-        ctx = h if h.ndim == 1 else nn.row_views(h)
-        if self.k:
-            ids = None if window is None else np.asarray(window, dtype=np.int64)
-            if ids is None or ids.shape != h.shape[:-1] + (self.k,):
-                raise ValueError("need %d succeeding word ids" % self.k)
-            flat = self.emb[ids].reshape(ctx.shape[:-1] + (-1,))
-            f = np.tanh(flat @ self.fut_w.T + self.fut_b)
-            ctx = np.concatenate([ctx, f], axis=-1)
+        stacked = h.ndim > 1
+        if stacked:
+            # (B, 1, .) row views, so every product is one per row
+            h = nn.row_views(h)
+            if window is not None:
+                window = np.asarray(window)[:, None]
+        ctx, _ = self._context_rows(h, window)
         logits = ctx @ self.out_w.T + self.out_b
-        return logits if h.ndim == 1 else logits[:, 0]
+        return logits[:, 0] if stacked else logits
 
     def output_dist(self, h, window=None, alpha=1.0):
         """Smoothed output distribution; stacks as in output_logits."""
@@ -193,39 +235,28 @@ class UniRnnlm:
         h_new = self.advance(h, prev_id)
         return self.output_dist(h_new, window, alpha), h_new
 
-    def advance_rows(self, H, ids):
-        """Row-batched advance: row i of the result is advance(H[i], ids[i])."""
-        h_new, _ = self.gru.step(self.emb[np.asarray(ids, dtype=np.int64)], H)
-        return h_new
-
-    def output_dist_rows(self, H, win_rows=None, alpha=1.0):
-        """Row-batched output_dist: `win_rows` is a (B, k) array of
-        succeeding word ids, one window per row of H (None when k is 0)."""
-        ctx, _ = self._context_rows(H, win_rows)
-        return smooth(ctx @ self.out_w.T + self.out_b, alpha)
-
     def word_logprob_from_dist(self, dist, word_id):
         """Log probability of a word id, dividing the out-of-shortlist slot
         mass uniformly over the words it covers."""
         p = dist[self.vocab.output_index(word_id)]
         if self.vocab.is_oos(word_id):
-            if self.vocab.n_oos == 0:
-                return float("-inf")
             return _safe_log(p) - math.log(self.vocab.n_oos)
         return _safe_log(p)
 
-    def _window_ids(self, ids, t):
-        return future_window(self.vocab, ids, t, self.k).ids if self.k else None
+    def word_logprobs(self, seqs, alpha=1.0):
+        """Natural-log probabilities for every predicted position (everything
+        after the begin token) of each encoded sentence in `seqs`, scored
+        through one PrefixTrie of them."""
+        trie = PrefixTrie(seqs, self.k, self.vocab.pad)
+        out = [[] for _ in seqs]
+        for t, (dist, visits) in enumerate(zip(trie.dists(self, alpha), trie.visits), 1):
+            for i, _, col in visits:
+                out[i].append(self.word_logprob_from_dist(dist[col], seqs[i][t]))
+        return out
 
     def sentence_word_logprobs(self, ids, alpha=1.0):
-        """Natural-log probabilities for every predicted position of one
-        encoded sentence (everything after the begin token)."""
-        h = self.zero_state()
-        out = []
-        for t in range(1, len(ids)):
-            dist, h = self.step(h, ids[t - 1], self._window_ids(ids, t), alpha)
-            out.append(self.word_logprob_from_dist(dist, ids[t]))
-        return out
+        """word_logprobs of one encoded sentence."""
+        return self.word_logprobs([ids], alpha)[0]
 
     def sentence_logprob(self, ids, alpha=1.0):
         return float(sum(self.sentence_word_logprobs(ids, alpha)))
@@ -305,11 +336,13 @@ class UniRnnlm:
 
     def _context_rows(self, h_new, win_rows):
         """Context rows [h, f] with f the future vector of each row's (k,)
-        window; h_new may be (B, H) or a (T, B, H) stack with (T, B, k)
-        windows.  Also returns what the backward pass needs."""
+        window: h_new (..., H) takes windows (..., k), for one state, a
+        stack of row views (B, 1, H) or a training span (T, B, H).  Also
+        returns what the backward pass needs."""
         if not self.k:
             return h_new, None
-        if np.shape(win_rows) != h_new.shape[:-1] + (self.k,):
+        win_rows = np.asarray(win_rows)
+        if win_rows.shape != h_new.shape[:-1] + (self.k,):
             raise ValueError("need %d succeeding word ids per row" % self.k)
         flat = self.emb[win_rows].reshape(h_new.shape[:-1] + (self.k * self.embed,))
         # built in place: over a training span every temporary is a

@@ -1,9 +1,9 @@
 """Dense kernels shared by the recurrent models: GRU cell, stable softmax,
 clipped SGD, and the binary model container.
 
-The GRU comes twice.  GruCell.step does one step over a batch of rows for
-the scorers, and GruCell.backward is its backward pass, kept as the
-reference the training kernels are tested against.  gru_span and
+The GRU comes twice.  GruCell.step does one step, which the scorers take
+through gru_step's row views, and GruCell.backward is its backward pass,
+kept as the reference the training kernels are tested against.  gru_span and
 gru_span_backward run the training spans: the input products, the weight
 gradients and dx are stacked products over the whole span (span_inputs,
 span_grads), and only the U products and the gate arithmetic stay in the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lmkit import nn
-from lmkit.corpus import TokenizedCorpus, build_vocabulary
+from lmkit.corpus import TokenizedCorpus, build_vocabulary, future_window
 from lmkit.models import (BiRnnlm, Hyper, SuRnnlm, UniRnnlm, load_rnnlm,
                           smooth)
 
@@ -262,27 +262,6 @@ def test_su_gradients_match_finite_differences():
     assert ok, msg
 
 
-@pytest.mark.parametrize("succ", [0, 3])
-def test_row_helpers_match_single_row_calls(succ):
-    vocab, _ = tiny_setup(shortlist=2)
-    model = (SuRnnlm(vocab, hidden=8, embed=4, succ=succ, seed=13) if succ
-             else UniRnnlm(vocab, hidden=8, embed=4, seed=13))
-    rng = np.random.default_rng(14)
-    B = 6
-    H = rng.normal(scale=0.5, size=(B, model.hidden))
-    ids = rng.integers(0, len(vocab), size=B)
-    wins = rng.integers(0, len(vocab), size=(B, succ)) if succ else None
-    H_new = model.advance_rows(H, ids)
-    dists = model.output_dist_rows(H_new, wins, 0.7)
-    assert H_new.shape == (B, model.hidden)
-    assert dists.shape == (B, vocab.output_size)
-    for i in range(B):
-        h = model.advance(H[i], ids[i])
-        win = tuple(wins[i]) if succ else None
-        assert np.max(np.abs(H_new[i] - h)) <= 1e-12
-        assert np.max(np.abs(dists[i] - model.output_dist(h, win, 0.7))) <= 1e-12
-
-
 # forty words, so the output layer is wide enough for BLAS to block rows
 ROW_LINES = [" ".join("w%d" % ((7 * i + 3 * j) % 40) for j in range(9))
              for i in range(40)]
@@ -319,16 +298,38 @@ def test_stacked_advance_and_output_dist_are_row_exact(succ, dtype):
             model.output_dist(H[:2], wins[:2, :2])
         with pytest.raises(ValueError):
             model.output_dist(H[:2], wins[0])
+        with pytest.raises(ValueError):
+            model.output_dist(H[:2], None)
 
 
-def test_output_dist_rows_checks_window_shape():
-    vocab, _ = tiny_setup()
-    su = SuRnnlm(vocab, hidden=8, embed=4, succ=3, seed=1)
-    H = np.zeros((2, su.hidden))
-    with pytest.raises(ValueError):
-        su.output_dist_rows(H, np.full((2, 2), vocab.pad))
-    with pytest.raises(ValueError):
-        su.output_dist_rows(H, None)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("succ", [0, 1, 3])
+def test_trie_word_logprobs_match_step_walk(succ, dtype):
+    # one trie over a whole sentence set scores each sentence with the bytes
+    # of a one-row step walk of that sentence alone
+    vocab = build_vocabulary(ROW_LINES, 30)
+    model = (SuRnnlm(vocab, hidden=48, embed=24, succ=succ, seed=19, dtype=dtype)
+             if succ else UniRnnlm(vocab, hidden=48, embed=24, seed=19, dtype=dtype))
+    rng = np.random.default_rng(20)
+    # shared stems, words past the shortlist, unknown words, a repeat
+    words = ["w%d" % i for i in range(40)] + ["unk"]
+    stems = [list(rng.choice(words, size=6)) for _ in range(4)]
+    lines = [stems[i % 4][:rng.integers(0, 7)] + list(rng.choice(words, size=rng.integers(0, 8)))
+             for i in range(150)]
+    lines.append(lines[7])
+    seqs = [vocab.encode(line) for line in lines]
+    got = model.word_logprobs(seqs, 0.7)
+    assert len(got) == len(seqs)
+    for ids, lps in zip(seqs, got):
+        want = []
+        h = model.zero_state()
+        for t in range(1, len(ids)):
+            win = future_window(vocab, ids, t, succ).ids if succ else None
+            dist, h = model.step(h, ids[t - 1], win, 0.7)
+            want.append(model.word_logprob_from_dist(dist, ids[t]))
+        assert lps == want
+        assert model.sentence_word_logprobs(ids, 0.7) == want
+    assert model.word_logprobs([], 0.7) == []
 
 
 def _reference_loss(model, corpus, streams=2):
