@@ -244,15 +244,13 @@ def cmd_ppl(args):
     cfg = _interp_config(args)
     test = corpus_mod.TokenizedCorpus.from_file(vocab, args.test)
     sentences = test.sentences
-    # the recurrent models score the whole test set through one prefix trie,
-    # with the bytes of scoring each sentence alone
+    # uni and su score the test set through bounded prefix tries, with the
+    # bytes of scoring each sentence alone; bi scores sentence by sentence
     if su is not None:
         scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, args.alpha)
         scores = scorer.word_scores(sentences)
     elif arpa is not None and model is not None:
         scores = _linear_scorer(arpa, model, args.lambda1, sentences)
-    elif model is not None and model.arch == "bi":
-        scores = [model.sentence_word_logprobs(ids) for ids in sentences]
     elif model is not None:
         scores = model.word_logprobs(sentences, args.alpha if model.arch == "su" else 1.0)
     else:

@@ -32,6 +32,16 @@ class EvalReport:
         ]
 
 
+def ordered_sum(values):
+    """The float sum of `values` added strictly left to right.  From Python
+    3.12 the builtin sum() compensates rounding, so its totals would differ
+    in the last bits between Python versions."""
+    total = 0.0
+    for v in values:
+        total += v
+    return float(total)
+
+
 def _accumulate(word_logprob_fn, corpus, pseudo):
     total = 0.0
     tokens = 0
@@ -41,7 +51,7 @@ def _accumulate(word_logprob_fn, corpus, pseudo):
         if len(lps) != len(ids) - 1:
             raise ValueError("scorer returned %d scores for %d predicted tokens"
                              % (len(lps), len(ids) - 1))
-        s = float(sum(lps))
+        s = ordered_sum(lps)
         per_sentence.append(s)
         total += s
         tokens += len(lps)

@@ -78,21 +78,6 @@ def grid_search(eval_fn, grid=DEFAULT_GRID):
     return best_lam, best_val, table
 
 
-def grid_search2(eval_fn, grid=DEFAULT_GRID):
-    """Minimize eval_fn(lam1, lam2) over the grid product.  Ties resolve to
-    the smallest lam1, then the smallest lam2."""
-    best = None
-    best_val = None
-    table = []
-    for lam1 in grid:
-        for lam2 in grid:
-            val = eval_fn(lam1, lam2)
-            table.append((lam1, lam2, val))
-            if best_val is None or val < best_val:
-                best, best_val = (lam1, lam2), val
-    return best, best_val, table
-
-
 def tune_linear(pair_lists, grid=DEFAULT_GRID):
     """Pick the linear weight that minimizes perplexity.
 

@@ -49,6 +49,7 @@ import numpy as np
 
 from . import interpolate, models
 from .corpus import DataError, bad_score
+from .evaluate import ordered_sum
 
 NEG_INF = float("-inf")
 
@@ -287,8 +288,8 @@ def _arc_weight(arc, ac_scale, lm_scale):
 
 def _make_hypothesis(lat, arc_ids, ac_scale, lm_scale):
     arcs = [lat.arcs[aid] for aid in arc_ids]
-    ac = sum(a.ac for a in arcs)
-    lm = sum(a.lm for a in arcs)
+    ac = ordered_sum(a.ac for a in arcs)
+    lm = ordered_sum(a.lm for a in arcs)
     return Hypothesis([a.word for a in arcs], tuple(arc_ids), ac, lm,
                       ac_scale * ac + lm_scale * lm)
 
@@ -873,25 +874,25 @@ class TwoStageScorer:
     def score_many(self, word_lists):
         """Total score of every word list, in order: the in-order sum of
         its word_scores."""
-        totals = []
-        for scores in self.word_scores([self.uni.vocab.encode(w) for w in word_lists]):
-            # a plain loop, not sum(): from Python 3.12 sum() compensates
-            # rounding and would change the totals in the last bits
-            total = 0.0
-            for score in scores:
-                total += score
-            totals.append(total)
-        return totals
+        return [ordered_sum(scores) for scores in
+                self.word_scores([self.uni.vocab.encode(w) for w in word_lists])]
 
     def word_scores(self, seqs):
         """Per-word scores of encoded sentences (begin and end tokens
         included): one list per sentence, one score per position after the
-        begin token.  Both models score the sentences through one
-        models.PrefixTrie held only for this call, depth by depth, so a
-        sentence scores the same in any set, and every distinct (prefix,
-        word, window) is combined once."""
+        begin token.  Both models score the sentences through the prefix
+        tries of models.prefix_tries, depth by depth, so a sentence scores
+        the same in any set, and every distinct (prefix, word, window) of a
+        trie is combined once."""
+        k = self.su.k if self.su is not None else 0
+        out = []
+        for run, trie in models.prefix_tries(seqs, k, self.uni.vocab.pad):
+            out += self._trie_scores(run, trie)
+        return out
+
+    def _trie_scores(self, seqs, trie):
+        """word_scores of the sentences `seqs` of one PrefixTrie `trie`."""
         uni, su = self.uni, self.su
-        trie = models.PrefixTrie(seqs, su.k if su is not None else 0, uni.vocab.pad)
         dists_s = trie.dists(su, self.alpha) if su is not None else [None] * len(trie.visits)
         cfg = self.config
         out = [[] for _ in seqs]

@@ -8,15 +8,24 @@ shortlist plus a single out-of-shortlist slot:
   su:  P(w_t | w_1..w_{t-1}, w_{t+1}..w_{t+k}) from the uni GRU plus a
        feedforward unit over the k succeeding word embeddings.
 
-uni is su with k=0: `UniRnnlm` implements both, the future unit guarded by
-`k`, and `SuRnnlm` only sets k.  bi and su scores are unnormalized over
+They differ only in the recurrent part; the base `Rnnlm` holds the rest:
+construction, parameters, the container, the per-word lookup and sentence
+scores, the output layer with its loss and gradients, and `loss_and_grads`,
+`loss_only` and `_sgd_train` (plain SGD with global-norm clipping).  A
+subclass gives `word_logprobs(seqs, alpha)`, `_batches` (its training data)
+and `_updates` (the loss, tokens, gradients and rows of each update).  uni
+is su with k=0: `UniRnnlm` implements both, the future unit guarded by `k`,
+and `SuRnnlm` only sets k.  bi and su scores are unnormalized over
 sentences, so only per-word pseudo perplexity is meaningful for them.
-Gradients are hand derived; all three architectures train through one loop,
-`_sgd_train`: plain SGD with global-norm clipping.
+Gradients are hand derived.  The benchmark's tracer wraps methods at their
+class's own attributes, so `UniRnnlm` and `BiRnnlm` keep `train` (a call
+into the base) and `word_logprob_from_dist` (the base's, bound again) as
+their own.
 
 uni and su score through `advance` and `output_dist`, one state or a (B, H)
 stack whose row i has the bytes of the call on row i alone: per frontier in
-lattice rescoring, per depth of one `PrefixTrie` for any set of sentences.
+lattice rescoring, per depth of a `PrefixTrie` of up to `TRIE_SENTENCES`
+sentences.  bi scores one sentence at a time.
 
 Training works a span at a time: a bptt span of the spliced streams (uni,
 su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
@@ -35,6 +44,12 @@ import numpy as np
 
 from . import nn
 from .corpus import Vocabulary, make_null_aligned_batches, make_spliced_batches
+from .evaluate import ordered_sum
+
+# sentences per prefix trie: a trie depth holds one output distribution per
+# distinct prefix (or prefix and window) of its sentences, so this bounds a
+# scorer's memory; any split gives the same bytes, the calls being row exact
+TRIE_SENTENCES = 128
 
 
 def smooth(logits, alpha):
@@ -58,72 +73,6 @@ class Hyper:
 
 def _safe_log(p):
     return math.log(p) if p > 0.0 else float("-inf")
-
-
-def _sgd_train(model, epoch, hyper):
-    """The epoch loop every architecture trains with.  `epoch()` yields
-    (loss, tokens, grads, rows) per update; the summed gradients are divided
-    by the update's rows before the clipped SGD step.  Returns per-epoch mean
-    loss, the largest pre-clip gradient norm of each epoch and how many of
-    its updates were clipped, token counts, and wall-clock words per
-    second."""
-    params = model.params()
-    history, norm_max, clipped = [], [], []
-    total_tokens = 0
-    t_start = time.perf_counter()
-    lr = hyper.lr
-    for _ in range(hyper.epochs):
-        ep_loss, ep_tokens, ep_norm, ep_clipped = 0.0, 0, 0.0, 0
-        for loss, tokens, grads, rows in epoch():
-            if not np.isfinite(loss):
-                raise nn.NumericError("non-finite training loss")
-            if tokens:
-                # mean over rows, sum over the steps; clipping tames the rest
-                for g in grads.values():
-                    g /= rows
-                norm = float(nn.sgd_step(params, grads, lr, hyper.clip))
-                ep_norm = max(ep_norm, norm)
-                if hyper.clip is not None and norm > hyper.clip:
-                    ep_clipped += 1
-            ep_loss += loss
-            ep_tokens += tokens
-        model.emb[model.vocab.pad] = 0.0
-        nn.check_finite(params)
-        history.append(ep_loss / max(ep_tokens, 1))
-        norm_max.append(ep_norm)
-        clipped.append(ep_clipped)
-        total_tokens += ep_tokens
-        lr *= hyper.lr_decay
-    wall = time.perf_counter() - t_start
-    return {
-        "epoch_loss": history,
-        "grad_norm_max": norm_max,
-        "clipped_updates": clipped,
-        "tokens": total_tokens,
-        "seconds": wall,
-        "wps": total_tokens / wall if wall > 0 else float("inf"),
-    }
-
-
-def _output_loss(model, ctx, slots, mask, want_grads):
-    """Output layer, softmax and loss over a (T, S, C) stack of contexts;
-    slots and mask (T, S) give each cell's target slot and whether it
-    counts.  Each step's loss is summed over its rows, then the steps in
-    order, as a step loop would.  Returns (loss, tokens, dlogits), dlogits
-    None without want_grads."""
-    dist = nn.softmax(ctx @ model.out_w.T + model.out_b)
-    T, S = mask.shape
-    cells = (np.arange(T)[:, None], np.arange(S), slots)
-    steps = (np.log(dist[cells], where=mask, out=np.zeros(mask.shape)) * mask).sum(axis=1)
-    loss = 0.0
-    for step in steps:
-        loss -= float(step)
-    tokens = int(mask.sum())
-    if not want_grads:
-        return loss, tokens, None
-    dist[cells] -= 1.0
-    dist[~mask] = 0.0
-    return loss, tokens, dist
 
 
 class PrefixTrie:
@@ -165,17 +114,23 @@ class PrefixTrie:
                    else model.output_dist(h, None, alpha))
 
 
-class UniRnnlm:
-    """Left-to-right GRU language model.  With k > 0 (see SuRnnlm) a tanh
-    feedforward unit over the k succeeding word embeddings joins the GRU
-    state in the output layer's context."""
+def prefix_tries(seqs, k, pad):
+    """Yield (run, PrefixTrie of run) over consecutive runs of at most
+    TRIE_SENTENCES of the encoded sentences `seqs`, in order."""
+    for lo in range(0, len(seqs), TRIE_SENTENCES):
+        run = seqs[lo:lo + TRIE_SENTENCES]
+        yield run, PrefixTrie(run, k, pad)
 
-    arch = "uni"
 
-    def __init__(self, vocab, hidden=32, embed=16, seed=0, dtype=np.float64):
-        self._build(vocab, hidden, embed, 0, 0, seed, dtype)
+class Rnnlm:
+    """What every architecture shares; see the module docstring.  A subclass
+    provides `word_logprobs(seqs, alpha)`, `_batches(corpus, num_streams)`
+    and `_updates(batches, span, want_grads)`."""
 
-    def _build(self, vocab, hidden, embed, k, future_hidden, seed, dtype):
+    def _build(self, vocab, hidden, embed, seed, dtype, cells, k, future_hidden):
+        """Draw the weights: the embedding, one GRU per name in `cells` (kept
+        as that attribute), the future unit when k > 0, the output layer.
+        future_hidden None (bi: no future unit) keeps it out of the header."""
         self.vocab = vocab
         self.hidden = hidden
         self.embed = embed
@@ -187,21 +142,169 @@ class UniRnnlm:
         rng = np.random.default_rng(seed)
         self.emb = nn.uniform_init(rng, (len(vocab), embed), dtype=dtype)
         self.emb[vocab.pad] = 0.0
-        self.gru = nn.GruCell(embed, hidden, rng, dtype=dtype)
+        self.cells = [nn.GruCell(embed, hidden, rng, dtype=dtype, prefix=name)
+                      for name in cells]
+        for cell in self.cells:
+            setattr(self, cell.prefix, cell)
         if k:
             self.fut_w = nn.uniform_init(rng, (future_hidden, k * embed), dtype=dtype)
             self.fut_b = nn.uniform_init(rng, (future_hidden,), dtype=dtype)
         out = vocab.output_size
-        self.out_w = nn.uniform_init(rng, (out, hidden + future_hidden), dtype=dtype)
+        width = len(cells) * hidden + (future_hidden or 0)
+        self.out_w = nn.uniform_init(rng, (out, width), dtype=dtype)
         self.out_b = nn.uniform_init(rng, (out,), dtype=dtype)
 
     def params(self):
         p = {"emb": self.emb, "out.W": self.out_w, "out.b": self.out_b}
-        p.update(self.gru.params())
+        for cell in self.cells:
+            p.update(cell.params())
         if self.k:
-            p["fut.W"] = self.fut_w
-            p["fut.b"] = self.fut_b
+            p.update({"fut.W": self.fut_w, "fut.b": self.fut_b})
         return p
+
+    # ---- scoring ----
+
+    def word_logprob_from_dist(self, dist, word_id):
+        """Log probability of a word id, dividing the out-of-shortlist slot
+        mass uniformly over the words it covers."""
+        p = dist[self.vocab.output_index(word_id)]
+        if self.vocab.is_oos(word_id):
+            return _safe_log(p) - math.log(self.vocab.n_oos)
+        return _safe_log(p)
+
+    def sentence_word_logprobs(self, ids, alpha=1.0):
+        """word_logprobs of one encoded sentence."""
+        return self.word_logprobs([ids], alpha)[0]
+
+    def sentence_logprob(self, ids, alpha=1.0):
+        return ordered_sum(self.sentence_word_logprobs(ids, alpha))
+
+    # ---- training ----
+
+    def _output_loss(self, ctx, slots, mask, want_grads, reverse=True):
+        """Output layer, softmax and loss over a (T, S, C) stack of contexts;
+        slots and mask (T, S) give each cell's target slot and whether it
+        counts.  Each step's loss is summed over its rows, then the steps in
+        order, as a step loop would.  Returns (loss, tokens, grads, dctx):
+        fresh gradients holding the output layer's, its steps summed last
+        first when `reverse`, and the contexts' gradient; None, None without
+        want_grads."""
+        dist = nn.softmax(ctx @ self.out_w.T + self.out_b)
+        T, S = mask.shape
+        cells = (np.arange(T)[:, None], np.arange(S), slots)
+        steps = (np.log(dist[cells], where=mask, out=np.zeros(mask.shape)) * mask).sum(axis=1)
+        loss = 0.0
+        for step in steps:
+            loss -= float(step)
+        tokens = int(mask.sum())
+        if not want_grads:
+            return loss, tokens, None, None
+        dist[cells] -= 1.0
+        dist[~mask] = 0.0
+        grads = nn.zeros_like_params(self.params())
+        nn.add_span_grads(grads, "out.W", "out.b", dist, ctx, reverse)
+        return loss, tokens, grads, dist @ self.out_w
+
+    def loss_and_grads(self, corpus, num_streams=2):
+        """Total loss, tokens and gradients over one full-backprop pass; used
+        by the finite-difference checks."""
+        total_loss, total_tokens = 0.0, 0
+        grads = nn.zeros_like_params(self.params())
+        for loss, tokens, g, _ in self._updates(self._batches(corpus, num_streams)):
+            total_loss += loss
+            total_tokens += tokens
+            for name in grads:
+                grads[name] += g[name]
+        return total_loss, total_tokens, grads
+
+    def loss_only(self, corpus, num_streams=2):
+        total = 0.0
+        for loss, _, _, _ in self._updates(self._batches(corpus, num_streams),
+                                           want_grads=False):
+            total += loss
+        return total
+
+    def _sgd_train(self, corpus, hyper):
+        """The epoch loop every architecture trains with.  Each epoch takes
+        the (loss, tokens, grads, rows) of `_updates` with span `hyper.bptt`;
+        the summed gradients are divided by the update's rows before the
+        clipped SGD step.  Returns per-epoch mean loss, the largest pre-clip
+        gradient norm of each epoch and how many of its updates were
+        clipped, token counts, and wall-clock words per second."""
+        batches = self._batches(corpus, hyper.num_streams)
+        params = self.params()
+        history, norm_max, clipped = [], [], []
+        total_tokens = 0
+        t_start = time.perf_counter()
+        lr = hyper.lr
+        for _ in range(hyper.epochs):
+            ep_loss, ep_tokens, ep_norm, ep_clipped = 0.0, 0, 0.0, 0
+            for loss, tokens, grads, rows in self._updates(batches, hyper.bptt):
+                if not np.isfinite(loss):
+                    raise nn.NumericError("non-finite training loss")
+                if tokens:
+                    # mean over rows, sum over the steps; clipping tames the rest
+                    for g in grads.values():
+                        g /= rows
+                    norm = float(nn.sgd_step(params, grads, lr, hyper.clip))
+                    ep_norm = max(ep_norm, norm)
+                    if hyper.clip is not None and norm > hyper.clip:
+                        ep_clipped += 1
+                ep_loss += loss
+                ep_tokens += tokens
+            self.emb[self.vocab.pad] = 0.0
+            nn.check_finite(params)
+            history.append(ep_loss / max(ep_tokens, 1))
+            norm_max.append(ep_norm)
+            clipped.append(ep_clipped)
+            total_tokens += ep_tokens
+            lr *= hyper.lr_decay
+        wall = time.perf_counter() - t_start
+        return {
+            "epoch_loss": history,
+            "grad_norm_max": norm_max,
+            "clipped_updates": clipped,
+            "tokens": total_tokens,
+            "seconds": wall,
+            "wps": total_tokens / wall if wall > 0 else float("inf"),
+        }
+
+    # ---- persistence ----
+
+    def _header(self):
+        header = {
+            "arch": self.arch,
+            "vocab_size": len(self.vocab),
+            "shortlist_size": self.vocab.shortlist_size,
+            "embed": self.embed,
+            "hidden": self.hidden,
+            "succ": self.k,
+            "dtype": str(np.dtype(self.dtype)),
+            "words": self.vocab.words,
+        }
+        if self.future_hidden is not None:
+            header["future_hidden"] = self.future_hidden
+        return header
+
+    def save(self, path):
+        nn.save_model(path, self._header(), self.params())
+
+    def _restore(self, tensors):
+        for name, arr in self.params().items():
+            if name not in tensors or tensors[name].shape != arr.shape:
+                raise ValueError("model container missing tensor %s" % name)
+            arr[...] = tensors[name]
+
+
+class UniRnnlm(Rnnlm):
+    """Left-to-right GRU language model.  With k > 0 (see SuRnnlm) a tanh
+    feedforward unit over the k succeeding word embeddings joins the GRU
+    state in the output layer's context."""
+
+    arch = "uni"
+
+    def __init__(self, vocab, hidden=32, embed=16, seed=0, dtype=np.float64):
+        self._build(vocab, hidden, embed, seed, dtype, ("gru",), 0, 0)
 
     def zero_state(self):
         return np.zeros(self.hidden, dtype=self.dtype)
@@ -235,35 +338,25 @@ class UniRnnlm:
         h_new = self.advance(h, prev_id)
         return self.output_dist(h_new, window, alpha), h_new
 
-    def word_logprob_from_dist(self, dist, word_id):
-        """Log probability of a word id, dividing the out-of-shortlist slot
-        mass uniformly over the words it covers."""
-        p = dist[self.vocab.output_index(word_id)]
-        if self.vocab.is_oos(word_id):
-            return _safe_log(p) - math.log(self.vocab.n_oos)
-        return _safe_log(p)
+    # an own attribute for the tracer; see the module docstring
+    word_logprob_from_dist = Rnnlm.word_logprob_from_dist
 
     def word_logprobs(self, seqs, alpha=1.0):
         """Natural-log probabilities for every predicted position (everything
         after the begin token) of each encoded sentence in `seqs`, scored
-        through one PrefixTrie of them."""
-        trie = PrefixTrie(seqs, self.k, self.vocab.pad)
-        out = [[] for _ in seqs]
-        for t, (dist, visits) in enumerate(zip(trie.dists(self, alpha), trie.visits), 1):
-            for i, _, col in visits:
-                out[i].append(self.word_logprob_from_dist(dist[col], seqs[i][t]))
+        through the prefix tries of `prefix_tries`."""
+        out = []
+        for run, trie in prefix_tries(seqs, self.k, self.vocab.pad):
+            scores = [[] for _ in run]
+            for t, (dist, visits) in enumerate(zip(trie.dists(self, alpha), trie.visits), 1):
+                for i, _, col in visits:
+                    scores[i].append(self.word_logprob_from_dist(dist[col], run[i][t]))
+            out += scores
         return out
-
-    def sentence_word_logprobs(self, ids, alpha=1.0):
-        """word_logprobs of one encoded sentence."""
-        return self.word_logprobs([ids], alpha)[0]
-
-    def sentence_logprob(self, ids, alpha=1.0):
-        return float(sum(self.sentence_word_logprobs(ids, alpha)))
 
     # ---- training ----
 
-    def _prepare_spliced(self, corpus, num_streams):
+    def _batches(self, corpus, num_streams):
         """Rectangles of the spliced streams: inputs, output slots, valid
         and reset masks, and the future windows (None when k is 0).  The
         last result is kept, read-only, because the finite-difference checks
@@ -272,14 +365,6 @@ class UniRnnlm:
         memo = getattr(self, "_spliced_memo", None)
         if memo is not None and memo[0] is corpus and memo[1] == num_streams:
             return memo[2]
-        arrays = self._build_spliced(corpus, num_streams)
-        for arr in arrays:
-            if arr is not None:
-                arr.flags.writeable = False
-        self._spliced_memo = (corpus, num_streams, arrays)
-        return arrays
-
-    def _build_spliced(self, corpus, num_streams):
         batch = make_spliced_batches(corpus, num_streams, future_k=self.k)
         v = self.vocab
         S = batch.num_streams
@@ -298,7 +383,23 @@ class UniRnnlm:
         valid = (targets >= 0) & (targets != v.sent_begin)
         resets = inputs == v.sent_begin
         slots = np.where(valid, np.minimum(targets, v.shortlist_size), 0)
-        return inputs, slots, valid, resets, windows
+        arrays = inputs, slots, valid, resets, windows
+        for arr in arrays:
+            if arr is not None:
+                arr.flags.writeable = False
+        self._spliced_memo = (corpus, num_streams, arrays)
+        return arrays
+
+    def _updates(self, rects, span=None, want_grads=True):
+        """One update per `span` steps of every stream (the whole width when
+        None), the hidden state carried from span to span."""
+        S, width = rects[0].shape
+        span = span or width
+        h = np.zeros((S, self.hidden), dtype=self.dtype)
+        for t0 in range(0, width, span):
+            loss, tokens, grads, h = self._forward_backward(
+                *rects, t0, min(t0 + span, width), h, want_grads)
+            yield loss, tokens, grads, S
 
     def _forward_backward(self, inputs, slots, valid, resets, windows, t0, t1, h,
                           want_grads=True):
@@ -314,13 +415,10 @@ class UniRnnlm:
         states, gru_cache = nn.gru_span(self.gru, self.emb[ids], h,
                                         resets=resets[:, t0:t1].T)
         ctx, fcache = self._context_rows(states, win)
-        loss, tokens, dlogits = _output_loss(
-            self, ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, want_grads)
+        loss, tokens, grads, dctx = self._output_loss(
+            ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, want_grads)
         if not want_grads:
             return loss, tokens, None, states[-1]
-        grads = nn.zeros_like_params(self.params())
-        nn.add_span_grads(grads, "out.W", "out.b", dlogits, ctx)
-        dctx = dlogits @ self.out_w
         dX = nn.gru_span_backward(self.gru, gru_cache, dctx[..., :self.hidden], grads)
         nn.add_rows_at(grads["emb"], ids, dX)
         if self.k:
@@ -354,61 +452,10 @@ class UniRnnlm:
         f = np.tanh(pre, out=ctx[..., self.hidden:])
         return ctx, (flat, f)
 
-    def loss_and_grads(self, corpus, num_streams=2):
-        """Total loss and gradients over one full-backprop pass; used by the
-        finite-difference checks."""
-        inputs, slots, valid, resets, windows = self._prepare_spliced(corpus, num_streams)
-        h = np.zeros((inputs.shape[0], self.hidden), dtype=self.dtype)
-        loss, tokens, grads, _ = self._forward_backward(
-            inputs, slots, valid, resets, windows, 0, inputs.shape[1], h)
-        return loss, tokens, grads
-
-    def loss_only(self, corpus, num_streams=2):
-        inputs, slots, valid, resets, windows = self._prepare_spliced(corpus, num_streams)
-        h = np.zeros((inputs.shape[0], self.hidden), dtype=self.dtype)
-        loss, _, _, _ = self._forward_backward(
-            inputs, slots, valid, resets, windows, 0, inputs.shape[1], h, want_grads=False)
-        return loss
-
     def train(self, corpus, hyper):
         """SGD over spliced streams with truncated backprop, one update per
-        `hyper.bptt` steps of every stream; see _sgd_train for the result."""
-        rects = self._prepare_spliced(corpus, hyper.num_streams)
-        S, width = rects[0].shape
-        span = hyper.bptt or width
-
-        def epoch():
-            h = np.zeros((S, self.hidden), dtype=self.dtype)
-            for t0 in range(0, width, span):
-                loss, tokens, grads, h = self._forward_backward(
-                    *rects, t0, min(t0 + span, width), h)
-                yield loss, tokens, grads, S
-
-        return _sgd_train(self, epoch, hyper)
-
-    # ---- persistence ----
-
-    def _header(self):
-        return {
-            "arch": self.arch,
-            "vocab_size": len(self.vocab),
-            "shortlist_size": self.vocab.shortlist_size,
-            "embed": self.embed,
-            "hidden": self.hidden,
-            "succ": self.k,
-            "future_hidden": self.future_hidden,
-            "dtype": str(np.dtype(self.dtype)),
-            "words": self.vocab.words,
-        }
-
-    def save(self, path):
-        nn.save_model(path, self._header(), self.params())
-
-    def _restore(self, tensors):
-        for name, arr in self.params().items():
-            if name not in tensors or tensors[name].shape != arr.shape:
-                raise ValueError("model container missing tensor %s" % name)
-            arr[...] = tensors[name]
+        `hyper.bptt` steps of every stream; see Rnnlm._sgd_train."""
+        return self._sgd_train(corpus, hyper)
 
 
 class SuRnnlm(UniRnnlm):
@@ -423,35 +470,17 @@ class SuRnnlm(UniRnnlm):
             future_hidden = 0
         elif future_hidden is None:
             future_hidden = hidden
-        self._build(vocab, hidden, embed, succ, future_hidden, seed, dtype)
+        self._build(vocab, hidden, embed, seed, dtype, ("gru",), succ, future_hidden)
 
 
-class BiRnnlm:
+class BiRnnlm(Rnnlm):
     """Two GRUs read the sentence from both ends; each position is predicted
     from the concatenated contexts.  Sentence scores are unnormalized."""
 
     arch = "bi"
 
     def __init__(self, vocab, hidden=32, embed=16, seed=0, dtype=np.float64):
-        self.vocab = vocab
-        self.hidden = hidden
-        self.embed = embed
-        self.dtype = dtype
-        self.k = 0
-        rng = np.random.default_rng(seed)
-        self.emb = nn.uniform_init(rng, (len(vocab), embed), dtype=dtype)
-        self.emb[vocab.pad] = 0.0
-        self.gru_f = nn.GruCell(embed, hidden, rng, dtype=dtype, prefix="gru_f")
-        self.gru_b = nn.GruCell(embed, hidden, rng, dtype=dtype, prefix="gru_b")
-        out = vocab.output_size
-        self.out_w = nn.uniform_init(rng, (out, 2 * hidden), dtype=dtype)
-        self.out_b = nn.uniform_init(rng, (out,), dtype=dtype)
-
-    def params(self):
-        p = {"emb": self.emb, "out.W": self.out_w, "out.b": self.out_b}
-        p.update(self.gru_f.params())
-        p.update(self.gru_b.params())
-        return p
+        self._build(vocab, hidden, embed, seed, dtype, ("gru_f", "gru_b"), 0, None)
 
     def _forward_rect(self, rows, lengths):
         """Forward pass over a left-aligned rectangle.  Returns the contexts
@@ -471,20 +500,29 @@ class BiRnnlm:
         b_ctx = np.concatenate([b_states[::-1], h0[None]])
         return np.concatenate([f_states, b_ctx], axis=-1), live[1:], f_cache, b_cache
 
-    def sentence_dists(self, ids, alpha=1.0):
-        """Distributions for every predicted position of one encoded sentence."""
-        ctx, _, _, _ = self._forward_rect(np.asarray([ids], dtype=np.int64), [len(ids)])
-        return [smooth(self.out_w @ c[0] + self.out_b, alpha) for c in ctx]
+    # an own attribute for the tracer; see the module docstring
+    word_logprob_from_dist = Rnnlm.word_logprob_from_dist
 
-    # the same word lookup and container code as uni, bound here so each
-    # name stays an own attribute of this class
-    word_logprob_from_dist = UniRnnlm.word_logprob_from_dist
-    save = UniRnnlm.save
-    _restore = UniRnnlm._restore
+    def word_logprobs(self, seqs, alpha=1.0):
+        """Per-word scores of each encoded sentence, one sentence at a time:
+        both contexts span the sentence, so there are no prefixes to share."""
+        out = []
+        for ids in seqs:
+            ctx, _, _, _ = self._forward_rect(np.asarray([ids], dtype=np.int64), [len(ids)])
+            dists = [smooth(self.out_w @ c[0] + self.out_b, alpha) for c in ctx]
+            out.append([self.word_logprob_from_dist(d, w) for d, w in zip(dists, ids[1:])])
+        return out
 
-    def sentence_word_logprobs(self, ids, alpha=1.0):
-        dists = self.sentence_dists(ids, alpha)
-        return [self.word_logprob_from_dist(d, ids[i + 1]) for i, d in enumerate(dists)]
+    # ---- training ----
+
+    def _batches(self, corpus, num_streams):
+        return make_null_aligned_batches(corpus, num_streams)
+
+    def _updates(self, batches, span=None, want_grads=True):
+        """One update per NULL-aligned batch of sentences.  bi backpropagates
+        over whole sentences, so `span` has no use here."""
+        for batch in batches:
+            yield (*self.loss_and_grads_batch(batch, want_grads), batch.num_rows)
 
     def loss_and_grads_batch(self, batch, want_grads=True):
         """Loss and gradients for one rectangle batch, NULL cells excluded.
@@ -495,12 +533,10 @@ class BiRnnlm:
         S, T = rows.shape
         ctx, mask, f_cache, b_cache = self._forward_rect(rows, lengths)
         slots = np.minimum(rows, self.vocab.shortlist_size).T[1:]
-        loss, tokens, dlogits = _output_loss(self, ctx, slots, mask, want_grads)
+        loss, tokens, grads, dctx = self._output_loss(ctx, slots, mask, want_grads,
+                                                      reverse=False)
         if not want_grads:
             return loss, tokens, None
-        grads = nn.zeros_like_params(self.params())
-        nn.add_span_grads(grads, "out.W", "out.b", dlogits, ctx, reverse=False)
-        dctx = dlogits @ self.out_w
         H = self.hidden
         dx_f = nn.gru_span_backward(self.gru_f, f_cache, dctx[..., :H], grads)
         dx_b = nn.gru_span_backward(self.gru_b, b_cache, dctx[:T - 2][::-1, :, H:], grads)
@@ -512,46 +548,10 @@ class BiRnnlm:
         grads["emb"][self.vocab.pad] = 0.0
         return loss, tokens, grads
 
-    def loss_and_grads(self, corpus, num_streams=2):
-        total_loss, total_tokens = 0.0, 0
-        grads = nn.zeros_like_params(self.params())
-        for batch in make_null_aligned_batches(corpus, num_streams):
-            loss, tokens, g = self.loss_and_grads_batch(batch)
-            total_loss += loss
-            total_tokens += tokens
-            for name in grads:
-                grads[name] += g[name]
-        return total_loss, total_tokens, grads
-
-    def loss_only(self, corpus, num_streams=2):
-        total = 0.0
-        for batch in make_null_aligned_batches(corpus, num_streams):
-            loss, _, _ = self.loss_and_grads_batch(batch, want_grads=False)
-            total += loss
-        return total
-
     def train(self, corpus, hyper):
         """SGD over NULL-aligned batches of `hyper.num_streams` sentences, one
-        update per batch; see _sgd_train for the result."""
-        batches = make_null_aligned_batches(corpus, hyper.num_streams)
-
-        def epoch():
-            for batch in batches:
-                yield (*self.loss_and_grads_batch(batch), batch.num_rows)
-
-        return _sgd_train(self, epoch, hyper)
-
-    def _header(self):
-        return {
-            "arch": self.arch,
-            "vocab_size": len(self.vocab),
-            "shortlist_size": self.vocab.shortlist_size,
-            "embed": self.embed,
-            "hidden": self.hidden,
-            "succ": 0,
-            "dtype": str(np.dtype(self.dtype)),
-            "words": self.vocab.words,
-        }
+        update per batch; see Rnnlm._sgd_train."""
+        return self._sgd_train(corpus, hyper)
 
 
 def load_rnnlm(path):
@@ -560,13 +560,12 @@ def load_rnnlm(path):
     vocab = Vocabulary(header["words"], header["shortlist_size"])
     dtype = np.dtype(header["dtype"])
     arch = header["arch"]
-    if arch == "uni":
-        model = UniRnnlm(vocab, header["hidden"], header["embed"], dtype=dtype)
-    elif arch == "su":
+    if arch == "su":
         model = SuRnnlm(vocab, header["hidden"], header["embed"], succ=header["succ"],
                         future_hidden=header.get("future_hidden") or None, dtype=dtype)
-    elif arch == "bi":
-        model = BiRnnlm(vocab, header["hidden"], header["embed"], dtype=dtype)
+    elif arch in ("uni", "bi"):
+        model = {"uni": UniRnnlm, "bi": BiRnnlm}[arch](
+            vocab, header["hidden"], header["embed"], dtype=dtype)
     else:
         raise ValueError("unknown architecture %r" % arch)
     model._restore(tensors)

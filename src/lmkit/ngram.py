@@ -17,6 +17,7 @@ import math
 import os
 
 from .corpus import SENT_BEGIN, DataError, bad_score
+from .evaluate import ordered_sum
 
 LN10 = math.log(10.0)
 LOG10_NEG_INF = -99.0
@@ -65,7 +66,7 @@ class ArpaModel:
         return out
 
     def sentence_logprob(self, ids):
-        return float(sum(self.sentence_word_logprobs(ids)))
+        return ordered_sum(self.sentence_word_logprobs(ids))
 
     def support(self):
         """Word ids with a unigram entry (everything the model can emit)."""

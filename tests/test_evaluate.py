@@ -3,7 +3,10 @@ import math
 import pytest
 
 from lmkit.corpus import TokenizedCorpus, build_vocabulary
-from lmkit.evaluate import corpus_wer, perplexity, pseudo_perplexity, wer
+from lmkit.evaluate import corpus_wer, ordered_sum, perplexity, pseudo_perplexity, wer
+from lmkit.lattice import Arc, Lattice, Node, best_path, make_two_stage_scorer
+from lmkit.models import BiRnnlm, UniRnnlm
+from lmkit.ngram import train_kn
 
 
 def test_wer_deletion_hand_case():
@@ -84,3 +87,27 @@ def test_scorer_length_mismatch_detected():
     corpus, _ = _uniform_setup()
     with pytest.raises(ValueError):
         perplexity(lambda ids: [0.0], corpus)
+
+
+def test_float_totals_add_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right total is 0.0; a
+    # compensated sum (the builtin sum() from Python 3.12) gives 1.0
+    values = [1e16, 1.0, -1e16]
+    assert ordered_sum(values) == 0.0
+    assert ordered_sum([]) == 0.0
+    vocab = build_vocabulary(["a b"])
+    corpus = TokenizedCorpus.from_lines(vocab, ["a b"])
+    assert perplexity(lambda ids: values, corpus).per_sentence == [0.0]
+    ids = corpus.sentences[0]
+    ngram = train_kn(corpus, 2)
+    uni = UniRnnlm(vocab, hidden=4, embed=3, seed=1)
+    for model in (ngram, uni, BiRnnlm(vocab, hidden=4, embed=3, seed=2)):
+        model.sentence_word_logprobs = lambda ids, alpha=1.0: values
+        assert model.sentence_logprob(ids) == 0.0
+    scorer = make_two_stage_scorer(ngram, uni)
+    scorer.word_scores = lambda seqs: [values for _ in seqs]
+    assert scorer.score_many([["a", "b"]]) == [0.0]
+    nodes = [Node(i, float(i)) for i in range(4)]
+    arcs = [Arc(i, i, i + 1, "a", v, v) for i, v in enumerate(values)]
+    hyp = best_path(Lattice(nodes, arcs).finish())
+    assert (hyp.ac, hyp.lm) == (0.0, 0.0)

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from lmkit.interpolate import (DEFAULT_GRID, InterpConfig, grid_search,
-                               grid_search2, linear, loglinear_score, safe_ln,
-                               tune_linear, two_stage)
+from lmkit.interpolate import (DEFAULT_GRID, InterpConfig, grid_search, linear,
+                               loglinear_score, safe_ln, tune_linear, two_stage)
 
 
 def test_linear_endpoints_are_exact():
@@ -69,14 +68,6 @@ def test_grid_search_finds_quadratic_minimum():
 def test_grid_search_ties_resolve_to_smallest_weight():
     lam, _, _ = grid_search(lambda l: 7.0)
     assert lam == 0.0
-    (l1, l2), _, _ = grid_search2(lambda a, b: 7.0)
-    assert (l1, l2) == (0.0, 0.0)
-
-
-def test_grid_search2_minimizes_both_axes():
-    (l1, l2), val, _ = grid_search2(lambda a, b: (a - 0.2) ** 2 + (b - 0.9) ** 2)
-    assert (l1, l2) == (0.2, 0.9)
-    assert val == 0.0
 
 
 def test_tune_linear_matches_brute_force_rescan():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmkit import lattice as lattice_mod
+from lmkit import models as models_mod
 from lmkit.corpus import build_vocabulary
 from lmkit.interpolate import InterpConfig, linear, loglinear_score, safe_ln, two_stage
 from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
@@ -748,6 +749,21 @@ def test_word_scores_of_a_set_equal_each_sentence_alone(which):
                          + [rng.choice(pool) for _ in range(rng.randrange(7))])
             for i in range(60)]
     assert scorer.word_scores(seqs) == [scorer.word_scores([s])[0] for s in seqs]
+
+
+@pytest.mark.parametrize("which", ["none", "su2"])
+def test_word_scores_over_several_tries_equal_each_sentence_alone(monkeypatch, which):
+    vocab, ngram, uni, _, _ = _scorer_setup()
+    su = SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=27) if which == "su2" else None
+    scorer = make_two_stage_scorer(ngram, uni, su, InterpConfig(0.6, 0.25), 0.7)
+    rng = random.Random(28)
+    pool = ["u", "v", "w", "x", "y", "z", "q"]
+    seqs = [vocab.encode([rng.choice(pool) for _ in range(rng.randrange(6))])
+            for _ in range(13)]
+    whole = scorer.word_scores(seqs)
+    monkeypatch.setattr(models_mod, "TRIE_SENTENCES", 5)
+    assert len(list(models_mod.prefix_tries(seqs, 0, vocab.pad))) == 3
+    assert scorer.word_scores(seqs) == [scorer.word_scores([s])[0] for s in seqs] == whole
 
 
 def test_score_many_of_nothing_is_empty():

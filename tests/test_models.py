@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lmkit import nn
+from lmkit import models, nn
 from lmkit.corpus import TokenizedCorpus, build_vocabulary, future_window
 from lmkit.models import (BiRnnlm, Hyper, SuRnnlm, UniRnnlm, load_rnnlm,
                           smooth)
@@ -335,7 +335,7 @@ def test_trie_word_logprobs_match_step_walk(succ, dtype):
 def _reference_loss(model, corpus, streams=2):
     """The forward pass written out step by step, the future vector taken
     from each step's window column."""
-    inputs, slots, valid, resets, windows = model._prepare_spliced(corpus, streams)
+    inputs, slots, valid, resets, windows = model._batches(corpus, streams)
     S, T = inputs.shape
     rows = np.arange(S)
     h = np.zeros((S, model.hidden), dtype=model.dtype)
@@ -389,9 +389,40 @@ def test_spliced_rectangles_are_reused_only_for_the_same_corpus():
         return SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=3)
 
     model = make()
-    first = model._prepare_spliced(corpus, 2)
-    assert model._prepare_spliced(corpus, 2) is first
+    first = model._batches(corpus, 2)
+    assert model._batches(corpus, 2) is first
     assert not any(arr.flags.writeable for arr in first)
     # switching corpus or stream count must not reuse stale rectangles
     for c, streams in ((other, 2), (corpus, 3), (corpus, 2)):
         assert model.loss_only(c, streams) == make().loss_only(c, streams)
+
+
+@pytest.mark.parametrize("arch", ["uni", "su2", "bi"])
+def test_loss_only_equals_the_loss_of_loss_and_grads(arch):
+    vocab, corpus = tiny_setup()
+    model = {"uni": lambda: UniRnnlm(vocab, hidden=8, embed=4, seed=13),
+             "su2": lambda: SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=14),
+             "bi": lambda: BiRnnlm(vocab, hidden=8, embed=4, seed=15)}[arch]()
+    # three streams make two bi batches, so the totals add several updates
+    for streams in (1, 2, 3):
+        loss, tokens, _ = model.loss_and_grads(corpus, streams)
+        assert model.loss_only(corpus, streams) == loss
+        assert tokens == corpus.word_count
+
+
+@pytest.mark.parametrize("succ", [0, 2])
+def test_word_logprobs_over_several_tries_equal_each_sentence_alone(monkeypatch, succ):
+    vocab = build_vocabulary(ROW_LINES, 30)
+    model = (SuRnnlm(vocab, hidden=48, embed=24, succ=succ, seed=25) if succ
+             else UniRnnlm(vocab, hidden=48, embed=24, seed=25))
+    rng = np.random.default_rng(26)
+    words = ["w%d" % i for i in range(40)] + ["unk"]
+    stem = list(rng.choice(words, size=5))
+    seqs = [vocab.encode(stem[:rng.integers(0, 6)] + list(rng.choice(words, size=rng.integers(0, 7))))
+            for _ in range(11)]
+    whole = model.word_logprobs(seqs, 0.7)
+    monkeypatch.setattr(models, "TRIE_SENTENCES", 4)
+    runs = [run for run, _ in models.prefix_tries(seqs, succ, vocab.pad)]
+    assert [len(run) for run in runs] == [4, 4, 3]
+    alone = [model.word_logprobs([ids], 0.7)[0] for ids in seqs]
+    assert model.word_logprobs(seqs, 0.7) == alone == whole

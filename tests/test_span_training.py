@@ -204,7 +204,7 @@ def test_uni_and_su_spans_match_stepwise_reference(span_corpus, succ, dtype):
     vocab, corpus = span_corpus
     model = (SuRnnlm(vocab, H, E, succ=succ, seed=32, dtype=dtype) if succ
              else UniRnnlm(vocab, H, E, seed=32, dtype=dtype))
-    rects = model._prepare_spliced(corpus, S)
+    rects = model._batches(corpus, S)
     resets = rects[3]
     # the spans straddle sentence starts, so rows reset mid-span
     assert resets[:, 1:32].any() and resets[:, 33:64].any()
