@@ -198,7 +198,12 @@ def cmd_train(args):
     log = model.train(train, _hyper_from(args))
     for i, loss in enumerate(log["epoch_loss"], 1):
         print("epoch %d loss %.6f" % (i, loss))
-    # timing is run-dependent, keep it off stdout
+    # timing is run-dependent and the gradient figures are diagnostics:
+    # keep them off stdout
+    for i, (norm, clipped) in enumerate(zip(log["grad_norm_max"],
+                                            log["clipped_updates"]), 1):
+        print("epoch %d grad_norm_max %.6f clipped_updates %d"
+              % (i, norm, clipped), file=sys.stderr)
     print("%d tokens in %.1f s (%.0f w/s)"
           % (log["tokens"], log["seconds"], log["wps"]), file=sys.stderr)
     model.save(args.model_out)
@@ -316,14 +321,18 @@ def _rescore_one(task):
     if opts["beam"] is not None:
         lat = lattice_mod.prune(lat, opts["beam"], opts["ac_scale"],
                                 opts["lm_scale"])
-    lat = lattice_mod.rescore_lattice_uni(
-        lat, uni, n_hist=opts["n_hist"], lam=opts["lambda1"],
-        cache=caches[0], ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
-    if su is not None:
-        lat = lattice_mod.rescore_lattice_su(
-            lat, su, n_hist=opts["n_hist"], lam=opts["lambda2"],
-            alpha=opts["alpha"], cache=caches[1],
-            ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
+    try:
+        lat = lattice_mod.rescore_lattice_uni(
+            lat, uni, n_hist=opts["n_hist"], lam=opts["lambda1"],
+            cache=caches[0], ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
+        if su is not None:
+            lat = lattice_mod.rescore_lattice_su(
+                lat, su, n_hist=opts["n_hist"], lam=opts["lambda2"],
+                alpha=opts["alpha"], cache=caches[1],
+                ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
+    except lattice_mod.LatticeError as e:
+        # the expansion budget: name the lattice that outgrew it
+        raise e.in_file(path) from None
     hyp = lattice_mod.best_path(lat, opts["ac_scale"], opts["lm_scale"])
     return hyp.words, lattice_mod.write_slf(lat)
 

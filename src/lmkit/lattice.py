@@ -31,7 +31,9 @@ row exact (a row's bytes never depend on the other rows of its batch), so
 the output depends neither on how rows were batched nor on whether a cache
 was used.  Without a cache, one cache for the call alone still shares
 vectors within the lattice; a cache passed in is bounded (CACHE_ENTRIES)
-and dropped whole between lattices once it outgrows the bound.
+and dropped whole between lattices once it outgrows the bound.  A pass
+that expands a lattice into more than MAX_STATES states fails with a
+LatticeError rather than exhaust memory.
 
 States are numbered as the walk reaches their nodes, so the transitions
 come out in (start, arc, end) order with every arc running from a lower to
@@ -491,6 +493,12 @@ def prune(lat, beam, ac_scale=1.0, lm_scale=1.0):
 # lattice (137k entries after one benchmark pass).
 CACHE_ENTRIES = 8000
 
+# states one rescoring pass may create before it gives up on the lattice:
+# merged states grow with branching^(n_hist - 1) and the su windows, so a
+# dense lattice with a long history could otherwise exhaust memory.  The
+# benchmark's 720 rescore lattices (seed 1) peak at 1,388 states per pass.
+MAX_STATES = 200000
+
 
 class ProbCache:
     """Memo for hidden states and output distributions during rescoring.
@@ -682,6 +690,7 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
     final_key = (None, None)
     states = [dict() for _ in lat.nodes]
     states[lat.initial][(hist0, None)] = _State(0.0, root, vocab.sent_begin)
+    created = 1
     remaining = [len(aids) for aids in lat.in_arcs]
     ready = [lat.initial]   # nodes whose predecessors have all relaxed
     pending = {}            # node -> (sorted states, transitions, dists)
@@ -753,6 +762,10 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
             g = st.g + acw + lm_scale * new_lm
             dst = states[end].get(skey)
             if dst is None:
+                created += 1
+                if created > MAX_STATES:
+                    raise LatticeError("rescoring expanded the lattice past %d states"
+                                       % MAX_STATES)
                 dst = states[end][skey] = _State(g, st, w)
             elif g > dst.g:
                 dst.g, dst.prev, dst.word = g, st, w

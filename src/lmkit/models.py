@@ -25,7 +25,7 @@ their own.
 uni and su score through `advance` and `output_dist`, one state or a (B, H)
 stack whose row i has the bytes of the call on row i alone: per frontier in
 lattice rescoring, per depth of a `PrefixTrie` of up to `TRIE_SENTENCES`
-sentences.  bi scores one sentence at a time.
+sentences.  bi scores one sentence at a time, through one workspace.
 
 Training works a span at a time: a bptt span of the spliced streams (uni,
 su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
@@ -34,6 +34,13 @@ the output layer, softmax and loss, and every weight gradient are stacked
 products over the span, one gemm per step inside each, summed in the
 order the step loop used.  The results have the bytes of the step-by-step
 pass written with GruCell.step and GruCell.backward.
+
+Every span takes its stacks from one nn.Workspace per training loop
+(`_sgd_train` across its epochs, `loss_and_grads`, `loss_only`), so the
+spans after the first write into memory already in use.  The loop drops
+the workspace when it returns: nothing is held between `train()` calls,
+and a copy of a model carries no buffers.  The state a span carries into
+the next is copied out of the workspace, which the next span overwrites.
 """
 
 import math
@@ -125,7 +132,7 @@ def prefix_tries(seqs, k, pad):
 class Rnnlm:
     """What every architecture shares; see the module docstring.  A subclass
     provides `word_logprobs(seqs, alpha)`, `_batches(corpus, num_streams)`
-    and `_updates(batches, span, want_grads)`."""
+    and `_updates(batches, ws, span, want_grads)`."""
 
     def _build(self, vocab, hidden, embed, seed, dtype, cells, k, future_hidden):
         """Draw the weights: the embedding, one GRU per name in `cells` (kept
@@ -181,16 +188,26 @@ class Rnnlm:
 
     # ---- training ----
 
-    def _output_loss(self, ctx, slots, mask, want_grads, reverse=True):
+    def _embed(self, ids, ws, name):
+        """The embedding rows of an array of word ids, gathered into
+        workspace `ws` under `name`.  The ids are the vocabulary's; numpy's
+        bounds-checked take would go through a fresh copy of the result."""
+        return self.emb.take(ids, axis=0, mode="wrap",
+                             out=ws.take(name, np.shape(ids) + (self.embed,), self.dtype))
+
+    def _output_loss(self, ctx, slots, mask, want_grads, ws, reverse=True):
         """Output layer, softmax and loss over a (T, S, C) stack of contexts;
         slots and mask (T, S) give each cell's target slot and whether it
         counts.  Each step's loss is summed over its rows, then the steps in
         order, as a step loop would.  Returns (loss, tokens, grads, dctx):
         fresh gradients holding the output layer's, its steps summed last
-        first when `reverse`, and the contexts' gradient; None, None without
-        want_grads."""
-        dist = nn.softmax(ctx @ self.out_w.T + self.out_b)
+        first when `reverse`, and the contexts' gradient, taken from
+        workspace `ws`; None, None without want_grads."""
         T, S = mask.shape
+        dist = np.matmul(ctx, self.out_w.T,
+                         out=ws.take("out.dist", (T, S, len(self.out_b)), self.dtype))
+        dist += self.out_b
+        nn.softmax(dist, out=dist)
         cells = (np.arange(T)[:, None], np.arange(S), slots)
         steps = (np.log(dist[cells], where=mask, out=np.zeros(mask.shape)) * mask).sum(axis=1)
         loss = 0.0
@@ -202,15 +219,17 @@ class Rnnlm:
         dist[cells] -= 1.0
         dist[~mask] = 0.0
         grads = nn.zeros_like_params(self.params())
-        nn.add_span_grads(grads, "out.W", "out.b", dist, ctx, reverse)
-        return loss, tokens, grads, dist @ self.out_w
+        nn.add_span_grads(grads, "out.W", "out.b", dist, ctx, ws, reverse)
+        return loss, tokens, grads, np.matmul(
+            dist, self.out_w, out=ws.take("out.dctx", ctx.shape, self.dtype))
 
     def loss_and_grads(self, corpus, num_streams=2):
         """Total loss, tokens and gradients over one full-backprop pass; used
         by the finite-difference checks."""
         total_loss, total_tokens = 0.0, 0
         grads = nn.zeros_like_params(self.params())
-        for loss, tokens, g, _ in self._updates(self._batches(corpus, num_streams)):
+        for loss, tokens, g, _ in self._updates(self._batches(corpus, num_streams),
+                                                nn.Workspace()):
             total_loss += loss
             total_tokens += tokens
             for name in grads:
@@ -220,7 +239,7 @@ class Rnnlm:
     def loss_only(self, corpus, num_streams=2):
         total = 0.0
         for loss, _, _, _ in self._updates(self._batches(corpus, num_streams),
-                                           want_grads=False):
+                                           nn.Workspace(), want_grads=False):
             total += loss
         return total
 
@@ -228,10 +247,13 @@ class Rnnlm:
         """The epoch loop every architecture trains with.  Each epoch takes
         the (loss, tokens, grads, rows) of `_updates` with span `hyper.bptt`;
         the summed gradients are divided by the update's rows before the
-        clipped SGD step.  Returns per-epoch mean loss, the largest pre-clip
-        gradient norm of each epoch and how many of its updates were
-        clipped, token counts, and wall-clock words per second."""
+        clipped SGD step.  Every span of every epoch takes its stacks from
+        one workspace, dropped when training returns.  Returns per-epoch mean
+        loss, the largest pre-clip gradient norm of each epoch and how many
+        of its updates were clipped, token counts, and wall-clock words per
+        second."""
         batches = self._batches(corpus, hyper.num_streams)
+        ws = nn.Workspace()
         params = self.params()
         history, norm_max, clipped = [], [], []
         total_tokens = 0
@@ -239,7 +261,7 @@ class Rnnlm:
         lr = hyper.lr
         for _ in range(hyper.epochs):
             ep_loss, ep_tokens, ep_norm, ep_clipped = 0.0, 0, 0.0, 0
-            for loss, tokens, grads, rows in self._updates(batches, hyper.bptt):
+            for loss, tokens, grads, rows in self._updates(batches, ws, hyper.bptt):
                 if not np.isfinite(loss):
                     raise nn.NumericError("non-finite training loss")
                 if tokens:
@@ -390,64 +412,71 @@ class UniRnnlm(Rnnlm):
         self._spliced_memo = (corpus, num_streams, arrays)
         return arrays
 
-    def _updates(self, rects, span=None, want_grads=True):
+    def _updates(self, rects, ws, span=None, want_grads=True):
         """One update per `span` steps of every stream (the whole width when
-        None), the hidden state carried from span to span."""
+        None), the hidden state carried from span to span; the spans take
+        their stacks from workspace `ws`."""
         S, width = rects[0].shape
         span = span or width
         h = np.zeros((S, self.hidden), dtype=self.dtype)
         for t0 in range(0, width, span):
             loss, tokens, grads, h = self._forward_backward(
-                *rects, t0, min(t0 + span, width), h, want_grads)
+                *rects, t0, min(t0 + span, width), h, want_grads, ws)
             yield loss, tokens, grads, S
 
     def _forward_backward(self, inputs, slots, valid, resets, windows, t0, t1, h,
-                          want_grads=True):
+                          want_grads=True, ws=nn.FRESH):
         """Loss (and gradients) over steps [t0, t1) of the rectangles, starting
         from hidden state rows `h`.  Returns (loss, tokens, grads, h_out).
 
-        The span runs as (T, S, .) stacks: the GRU recurrence is the only
-        time loop (nn.gru_span); the future unit, the output layer, the
-        softmax and the loss, and their gradients, are one 3-d product each
-        after it.  Every number has the bytes of the step-by-step pass."""
+        The span runs as (T, S, .) stacks taken from Workspace `ws`
+        (nn.FRESH: new arrays): the GRU recurrence is the only time loop
+        (nn.gru_span); the future unit, the output layer, the softmax and
+        the loss, and their gradients, are one 3-d product each after it.
+        Every number has the bytes of the step-by-step pass.  h_out is a
+        copy, so it outlives the next span in the same workspace."""
         ids = inputs[:, t0:t1].T
         win = None if windows is None else windows[:, t0:t1].transpose(1, 0, 2)
-        states, gru_cache = nn.gru_span(self.gru, self.emb[ids], h,
-                                        resets=resets[:, t0:t1].T)
-        ctx, fcache = self._context_rows(states, win)
+        states, gru_cache = nn.gru_span(self.gru, self._embed(ids, ws, "emb.X"), h,
+                                        resets=resets[:, t0:t1].T, ws=ws)
+        h_out = states[-1].copy()
+        ctx, fcache = self._context_rows(states, win, ws)
         loss, tokens, grads, dctx = self._output_loss(
-            ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, want_grads)
+            ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, want_grads, ws)
         if not want_grads:
-            return loss, tokens, None, states[-1]
+            return loss, tokens, None, h_out
         dX = nn.gru_span_backward(self.gru, gru_cache, dctx[..., :self.hidden], grads)
-        nn.add_rows_at(grads["emb"], ids, dX)
+        nn.add_rows_at(grads["emb"], ids, dX, ws)
         if self.k:
             flat, f = fcache
             # dctx * (1 - f*f), in place as in _context_rows
-            da = np.multiply(f, f)
+            da = np.multiply(f, f, out=ws.take("fut.da", f.shape, self.dtype))
             np.subtract(1.0, da, out=da)
             da *= dctx[..., self.hidden:]
-            nn.add_span_grads(grads, "fut.W", "fut.b", da, flat)
-            nn.add_rows_at(grads["emb"], win, da @ self.fut_w)
+            nn.add_span_grads(grads, "fut.W", "fut.b", da, flat, ws)
+            dwin = np.matmul(da, self.fut_w, out=ws.take("fut.dwin", flat.shape, self.dtype))
+            nn.add_rows_at(grads["emb"], win, dwin, ws)
         grads["emb"][self.vocab.pad] = 0.0
-        return loss, tokens, grads, states[-1]
+        return loss, tokens, grads, h_out
 
-    def _context_rows(self, h_new, win_rows):
+    def _context_rows(self, h_new, win_rows, ws=nn.FRESH):
         """Context rows [h, f] with f the future vector of each row's (k,)
         window: h_new (..., H) takes windows (..., k), for one state, a
         stack of row views (B, 1, H) or a training span (T, B, H).  Also
-        returns what the backward pass needs."""
+        returns what the backward pass needs.  The rows are built in
+        Workspace `ws` (nn.FRESH: new arrays, as the scorers take them)."""
         if not self.k:
             return h_new, None
         win_rows = np.asarray(win_rows)
-        if win_rows.shape != h_new.shape[:-1] + (self.k,):
+        lead = h_new.shape[:-1]
+        if win_rows.shape != lead + (self.k,):
             raise ValueError("need %d succeeding word ids per row" % self.k)
-        flat = self.emb[win_rows].reshape(h_new.shape[:-1] + (self.k * self.embed,))
-        # built in place: over a training span every temporary is a
-        # span-sized array, whose fresh pages cost more than the arithmetic
-        ctx = np.empty(h_new.shape[:-1] + (self.hidden + self.future_hidden,), self.dtype)
+        flat = self._embed(win_rows, ws, "fut.window").reshape(lead + (self.k * self.embed,))
+        # built in the workspace: h copied in, f written by tanh in place
+        ctx = ws.take("fut.ctx", lead + (self.hidden + self.future_hidden,), self.dtype)
         ctx[..., :self.hidden] = h_new
-        pre = flat @ self.fut_w.T
+        pre = np.matmul(flat, self.fut_w.T,
+                        out=ws.take("fut.pre", lead + (self.future_hidden,), self.dtype))
         pre += self.fut_b
         f = np.tanh(pre, out=ctx[..., self.hidden:])
         return ctx, (flat, f)
@@ -482,23 +511,29 @@ class BiRnnlm(Rnnlm):
     def __init__(self, vocab, hidden=32, embed=16, seed=0, dtype=np.float64):
         self._build(vocab, hidden, embed, seed, dtype, ("gru_f", "gru_b"), 0, None)
 
-    def _forward_rect(self, rows, lengths):
-        """Forward pass over a left-aligned rectangle.  Returns the contexts
-        (T-1, S, 2H) of positions 1..T-1, the (T-1, S) mask of those that
-        hold a word, and the caches of both GRUs."""
+    def _forward_rect(self, rows, lengths, ws):
+        """Forward pass over a left-aligned rectangle, its stacks taken from
+        workspace `ws`.  Returns the contexts (T-1, S, 2H) of positions
+        1..T-1, the (T-1, S) mask of those that hold a word, and the caches
+        of both GRUs."""
         S, T = rows.shape
-        X = self.emb[rows.T]
+        H = self.hidden
+        X = self._embed(rows.T, ws, "emb.X")
         live = np.arange(T)[:, None] < np.asarray(lengths)
-        h0 = np.zeros((S, self.hidden), dtype=self.dtype)
+        h0 = np.zeros((S, H), dtype=self.dtype)
         # the forward GRU reads steps 0..T-2, a row's state advancing while
         # position t+1, whose left context it becomes, holds a word
-        f_states, f_cache = nn.gru_span(self.gru_f, X[:T - 1], h0, keep=live[1:, :, None])
+        f_states, f_cache = nn.gru_span(self.gru_f, X[:T - 1], h0, keep=live[1:, :, None],
+                                        ws=ws)
         # the backward GRU reads steps T-1 down to 2; its state after step t
         # is the right context of position t-1, and position T-1 has none
         b_states, b_cache = nn.gru_span(self.gru_b, X[T - 1:1:-1], h0,
-                                        keep=live[T - 1:1:-1, :, None])
-        b_ctx = np.concatenate([b_states[::-1], h0[None]])
-        return np.concatenate([f_states, b_ctx], axis=-1), live[1:], f_cache, b_cache
+                                        keep=live[T - 1:1:-1, :, None], ws=ws)
+        ctx = ws.take("bi.ctx", (T - 1, S, 2 * H), self.dtype)
+        ctx[..., :H] = f_states
+        ctx[:T - 2, :, H:] = b_states[::-1]
+        ctx[T - 2, :, H:] = h0
+        return ctx, live[1:], f_cache, b_cache
 
     # an own attribute for the tracer; see the module docstring
     word_logprob_from_dist = Rnnlm.word_logprob_from_dist
@@ -507,8 +542,9 @@ class BiRnnlm(Rnnlm):
         """Per-word scores of each encoded sentence, one sentence at a time:
         both contexts span the sentence, so there are no prefixes to share."""
         out = []
+        ws = nn.Workspace()
         for ids in seqs:
-            ctx, _, _, _ = self._forward_rect(np.asarray([ids], dtype=np.int64), [len(ids)])
+            ctx, _, _, _ = self._forward_rect(np.asarray([ids], dtype=np.int64), [len(ids)], ws)
             dists = [smooth(self.out_w @ c[0] + self.out_b, alpha) for c in ctx]
             out.append([self.word_logprob_from_dist(d, w) for d, w in zip(dists, ids[1:])])
         return out
@@ -518,33 +554,37 @@ class BiRnnlm(Rnnlm):
     def _batches(self, corpus, num_streams):
         return make_null_aligned_batches(corpus, num_streams)
 
-    def _updates(self, batches, span=None, want_grads=True):
-        """One update per NULL-aligned batch of sentences.  bi backpropagates
-        over whole sentences, so `span` has no use here."""
+    def _updates(self, batches, ws, span=None, want_grads=True):
+        """One update per NULL-aligned batch of sentences, its stacks taken
+        from workspace `ws`.  bi backpropagates over whole sentences, so
+        `span` has no use here."""
         for batch in batches:
-            yield (*self.loss_and_grads_batch(batch, want_grads), batch.num_rows)
+            yield (*self.loss_and_grads_batch(batch, want_grads, ws), batch.num_rows)
 
-    def loss_and_grads_batch(self, batch, want_grads=True):
+    def loss_and_grads_batch(self, batch, want_grads=True, ws=nn.FRESH):
         """Loss and gradients for one rectangle batch, NULL cells excluded.
         Both GRUs run as spans (nn.gru_span); the output layer and its
         gradients are one 3-d product each over positions 1..T-1, summed in
-        ascending position order as the step loop did."""
+        ascending position order as the step loop did.  The stacks come
+        from Workspace `ws` (nn.FRESH: new arrays)."""
         rows, lengths = batch.rows, batch.lengths
         S, T = rows.shape
-        ctx, mask, f_cache, b_cache = self._forward_rect(rows, lengths)
+        ctx, mask, f_cache, b_cache = self._forward_rect(rows, lengths, ws)
         slots = np.minimum(rows, self.vocab.shortlist_size).T[1:]
-        loss, tokens, grads, dctx = self._output_loss(ctx, slots, mask, want_grads,
+        loss, tokens, grads, dctx = self._output_loss(ctx, slots, mask, want_grads, ws,
                                                       reverse=False)
         if not want_grads:
             return loss, tokens, None
         H = self.hidden
+        # forward chain first, then backward chain, into each cell; each
+        # chain's dX is added before the next backward pass reuses its stack
+        dx_cells = ws.take("bi.dx_cells", (S, T, self.embed), self.dtype)
+        dx_cells.fill(0.0)
         dx_f = nn.gru_span_backward(self.gru_f, f_cache, dctx[..., :H], grads)
-        dx_b = nn.gru_span_backward(self.gru_b, b_cache, dctx[:T - 2][::-1, :, H:], grads)
-        # forward chain first, then backward chain, into each cell
-        dx_cells = np.zeros((S, T, self.embed), dtype=self.dtype)
         dx_cells[:, :T - 1] += dx_f.transpose(1, 0, 2)
+        dx_b = nn.gru_span_backward(self.gru_b, b_cache, dctx[:T - 2][::-1, :, H:], grads)
         dx_cells[:, T - 1:1:-1] += dx_b.transpose(1, 0, 2)
-        nn.add_rows_at(grads["emb"], rows, dx_cells)
+        nn.add_rows_at(grads["emb"], rows, dx_cells, ws)
         grads["emb"][self.vocab.pad] = 0.0
         return loss, tokens, grads
 

@@ -8,9 +8,16 @@ gru_span_backward run the training spans: the input products, the weight
 gradients and dx are stacked products over the whole span (span_inputs,
 span_grads), and only the U products and the gate arithmetic stay in the
 time loop.  Both give the same bytes: a stacked product is one gemm per
-step, and the span sums run in step order."""
+step, and the span sums run in step order.
+
+A training loop holds one Workspace, and every span-sized stack of its
+spans (inputs, gates, states, gradients, products) is a view written into
+it with `out=`; the loop drops it when it returns.  A call outside any
+loop takes FRESH, new arrays through the same `take`.  The arithmetic is
+that of freshly allocated arrays, so the bytes are too."""
 
 import json
+import math
 import os
 import struct
 
@@ -34,11 +41,14 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softmax(logits, axis=-1):
+def softmax(logits, axis=-1, out=None):
+    """Softmax along `axis`, written into `out` when given (which may be
+    `logits` itself), else into a new array."""
     logits = np.asarray(logits)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(logits, logits.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 class GruCell:
@@ -112,39 +122,83 @@ class GruCell:
         return dx, dh_prev
 
 
+class Workspace:
+    """Scratch arrays for the spans of one training loop.  `take(name,
+    shape, dtype)` hands out a C-contiguous view of the buffer kept under
+    `name`, grown when a span needs more than it holds.  Once the buffers
+    fit the loop's largest span, every span writes into memory the loop
+    already touched: no fresh pages to fault in, nothing for the C
+    allocator to hand back between spans.
+
+    A view is valid until the next `take` of its name, in practice until
+    the next span in the same workspace: a caller that keeps a result
+    longer copies it.  A workspace is made for one loop and dropped when
+    the loop returns, so nothing is kept between loops."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            # drop the old buffer first, so its memory can serve the new one
+            buf = self._buffers[name] = None
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+class _FreshArrays:
+    """What a call outside any training loop takes its stacks from: the
+    `take` of a Workspace that keeps nothing, a new array every time."""
+
+    def take(self, name, shape, dtype):
+        return np.empty(shape, dtype)
+
+
+FRESH = _FreshArrays()
+
+
 def _zr_stack(a, b):
     """(2, K, H) stack of a.T and b.T as transposed views, so each slice's
     product takes the BLAS path of `x @ a.T` in `step`."""
     return np.stack([a, b]).transpose(0, 2, 1)
 
 
-def span_inputs(cell, X):
+def span_inputs(cell, X, out_zr, out_h):
     """The input products of `step` for a whole span: X (T, S, D) holds the
-    inputs of T steps on S rows.  Returns the z and r products (T, 2, S, H)
-    and the candidate's (T, S, H).  A stacked product runs one gemm per
-    step and gate, so each slice has the bytes of that step's own product;
-    flattened to (T*S, D) rows, BLAS would block rows of different steps
-    together and round them differently."""
+    inputs of T steps on S rows.  Writes the z and r products into out_zr
+    (T, 2, S, H) and the candidate's into out_h (T, S, H).  A stacked
+    product runs one gemm per step and gate, so each slice has the bytes of
+    that step's own product; flattened to (T*S, D) rows, BLAS would block
+    rows of different steps together and round them differently."""
     p = cell.p
-    return X[:, None] @ _zr_stack(p["Wz"], p["Wr"]), X @ p["Wh"].T
+    np.matmul(X[:, None], _zr_stack(p["Wz"], p["Wr"]), out=out_zr)
+    np.matmul(X, p["Wh"].T, out=out_h)
 
 
-def gru_span(cell, X, h, resets=None, keep=None):
+def gru_span(cell, X, h, resets=None, keep=None, ws=FRESH):
     """Run `cell` over one span from state rows h (S, H).  X (T, S, D) holds
     the step inputs; resets (T, S) marks rows whose state is zeroed before
     step t, keep (T, S, 1) rows whose state advances at step t while the
     others carry theirs over.  The input products run once over the span
     and only the U products and the gate arithmetic stay in the time loop.
     Returns the (T, S, H) states after each step, with the bytes of `step`
-    run step by step, and the cache gru_span_backward takes."""
+    run step by step, and the cache gru_span_backward takes.
+
+    The stacks come from Workspace `ws` (FRESH: new arrays).  Those the
+    backward pass reads are kept under the cell's prefix, so the states are
+    valid only until the next span of the same cell in that workspace."""
     p = cell.p
     T, S = X.shape[:2]
-    XZR, XH = span_inputs(cell, X)
+    H, name = cell.hidden_size, cell.prefix
+    ZR = ws.take(name + ".ZR", (T, 2, S, H), X.dtype)
+    RH, C, Hout = (ws.take(name + part, (T, S, H), X.dtype) for part in (".RH", ".C", ".H"))
+    # each step's gates and candidates overwrite its input products
+    span_inputs(cell, X, ZR, C)
     U_zr = _zr_stack(p["Uz"], p["Ur"])
     b_zr = np.stack([p["bz"], p["br"]])[:, None]
     UhT, bh = p["Uh"].T, p["bh"]
-    ZR = np.empty_like(XZR)
-    RH, C, Hout = (np.empty_like(XH) for _ in range(3))
     reset_rows = [()] * T if resets is None else [np.flatnonzero(r) for r in resets]
     drop = None if keep is None else ~keep
     h0 = h
@@ -154,32 +208,36 @@ def gru_span(cell, X, h, resets=None, keep=None):
             h[reset_rows[t]] = 0.0
         # (x Wz + h Uz) + bz as in `step`: a sum of two terms commutes
         pre = h @ U_zr
-        pre += XZR[t]
+        pre += ZR[t]
         pre += b_zr
         ZR[t] = sigmoid(pre)
         z, r = ZR[t]
         rh = np.multiply(r, h, out=RH[t])
         a = rh @ UhT
-        a += XH[t]
+        a += C[t]
         a += bh
         c = np.tanh(a, out=C[t])
         np.add((1.0 - z) * h, z * c, out=Hout[t])
         if drop is not None:
             np.copyto(Hout[t], h, where=drop[t])
         h = Hout[t]
-    return Hout, (X, h0, ZR, RH, C, Hout, resets, reset_rows, keep)
+    return Hout, (X, h0, ZR, RH, C, Hout, resets, reset_rows, keep, ws)
 
 
 def gru_span_backward(cell, cache, dH, grads):
     """Backprop through gru_span.  dH (T, S, H) is the loss gradient that
     reaches each step's state from outside the recurrence.  Adds the nine
     weight and bias gradients to `grads` and returns dX (T, S, D), both with
-    the bytes of `backward` run from the last step down."""
-    X, h0, ZR, RH, C, Hout, resets, reset_rows, keep = cache
+    the bytes of `backward` run from the last step down.  Its stacks come
+    from the workspace of the forward span and serve the backward pass of
+    any cell, so dX is valid until the next one."""
+    X, h0, ZR, RH, C, Hout, resets, reset_rows, keep, ws = cache
     p = cell.p
     T, S, H = Hout.shape
     # the state each step read
-    Hprev = np.concatenate([h0[None], Hout[:-1]])
+    Hprev = ws.take("span.Hprev", Hout.shape, Hout.dtype)
+    Hprev[0] = h0
+    Hprev[1:] = Hout[:-1]
     if resets is not None:
         Hprev[resets] = 0.0
     if keep is not None:
@@ -187,24 +245,29 @@ def gru_span_backward(cell, cache, dH, grads):
         # give the bytes of the boolean ones
         keep = keep.astype(Hout.dtype)
         drop = 1.0 - keep
-    Dz, Dr, Dc = (np.empty_like(Hout) for _ in range(3))
+    Dz, Dr, Dc = (ws.take(name, Hout.shape, Hout.dtype)
+                  for name in ("span.Dz", "span.Dr", "span.Dc"))
+    # the factors of `backward` that need no other step, taken over the
+    # span; each step overwrites its rows with the gate gradients
+    np.subtract(1.0, ZR[:, 0], out=Dz)
+    np.subtract(1.0, ZR[:, 1], out=Dr)
+    np.multiply(C, C, out=Dc)
+    np.subtract(1.0, Dc, out=Dc)
     Uz, Ur, Uh = p["Uz"], p["Ur"], p["Uh"]
     dh = np.zeros((S, H), dtype=Hout.dtype)
-    # the factors of `backward` are taken per step: span-sized temporaries
-    # cost more in fresh pages than the calls they would save
     for t in range(T - 1, -1, -1):
         z, r, c, h = ZR[t, 0], ZR[t, 1], C[t], Hprev[t]
         dh_total = dh + dH[t]
         g = dh_total if keep is None else dh_total * keep[t]
-        one_z = 1.0 - z
+        one_z = Dz[t]
         dz = g * (c - h)
         dh_prev = g * one_z
-        da_c = np.multiply(g * z, 1.0 - c * c, out=Dc[t])
+        da_c = np.multiply(g * z, Dc[t], out=Dc[t])
         drh = da_c @ Uh
         dr = drh * h
         dh_prev += drh * r
         da_z = np.multiply(dz * z, one_z, out=Dz[t])
-        da_r = np.multiply(dr * r, 1.0 - r, out=Dr[t])
+        da_r = np.multiply(dr * r, Dr[t], out=Dr[t])
         dh_prev += da_z @ Uz
         dh_prev += da_r @ Ur
         if keep is not None:
@@ -212,46 +275,58 @@ def gru_span_backward(cell, cache, dH, grads):
         if len(reset_rows[t]):
             dh_prev[reset_rows[t]] = 0.0
         dh = dh_prev
-    return span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads)
+    return span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads, ws)
 
 
-def span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads):
+def span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads, ws):
     """The products of `backward` that wait for no other step, over a span:
     D{z,r,c} (T, S, H) are the gate pre-activation gradients of each step.
     Adds the weight and bias gradients to `grads` in reverse step order,
     the order of `backward` run from the last step down, and returns
-    dX (T, S, D)."""
+    dX (T, S, D), taken from workspace `ws`."""
     p = cell.p
     pre = cell.prefix + "."
     for gate, D, Hin in (("h", Dc, RH), ("z", Dz, Hprev), ("r", Dr, Hprev)):
-        add_span_grads(grads, pre + "W" + gate, pre + "b" + gate, D, X)
-        add_span_grads(grads, pre + "U" + gate, None, D, Hin)
-    return Dc @ p["Wh"] + Dz @ p["Wz"] + Dr @ p["Wr"]
+        add_span_grads(grads, pre + "W" + gate, pre + "b" + gate, D, X, ws)
+        add_span_grads(grads, pre + "U" + gate, None, D, Hin, ws)
+    # Dc Wh + Dz Wz + Dr Wr, added left to right
+    dX = np.matmul(Dc, p["Wh"], out=ws.take("span.dX", X.shape, X.dtype))
+    term = ws.take("span_grads.term", X.shape, X.dtype)
+    dX += np.matmul(Dz, p["Wz"], out=term)
+    dX += np.matmul(Dr, p["Wr"], out=term)
+    return dX
 
 
-def add_span_grads(grads, w_name, b_name, D, X, reverse=True):
+def add_span_grads(grads, w_name, b_name, D, X, ws, reverse=True):
     """Add the sum over steps t of D[t].T @ X[t] to grads[w_name] and of D[t]'s
     column sums to grads[b_name] (skipped when None), for stacks D (T, S, N)
-    and X (T, S, K).  Each step's product is a slice of one 3-d product, and
-    the slices are summed over axis 0 in the order a step loop accumulated
-    them: last step first when `reverse`.  One (T*S)-row product would round
-    differently."""
+    and X (T, S, K).  Each step's product is a slice of one 3-d product,
+    written into workspace `ws`, and the slices are summed over axis 0 in
+    the order a step loop accumulated them: last step first when `reverse`.
+    One (T*S)-row product would round differently."""
     order = slice(None, None, -1 if reverse else 1)
-    grads[w_name] += (D.transpose(0, 2, 1) @ X)[order].sum(axis=0)
+    T, _, N = D.shape
+    products = np.matmul(D.transpose(0, 2, 1), X,
+                         out=ws.take("span_grads.products", (T, N, X.shape[2]), X.dtype))
+    grads[w_name] += products[order].sum(axis=0)
     if b_name is not None:
         grads[b_name] += D.sum(axis=1)[order].sum(axis=0)
 
 
-def add_rows_at(table, ids, rows):
+def add_rows_at(table, ids, rows, ws):
     """np.add.at(table, ids, rows) for a C-contiguous 2-d table: row ids[i]
     gets rows[i] added, one row after the other.  The rows go in as single
     elements through np.add.at's fast 1-d path, so every element sums its
-    values in the same order and the bytes match the 2-d call."""
+    values in the same order and the bytes match the 2-d call.  The element
+    indices are built in workspace `ws`."""
     if not table.flags.c_contiguous:
         raise ValueError("table must be C-contiguous")
+    ids = np.asarray(ids)
     width = table.shape[1]
-    flat = (np.asarray(ids).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    np.add.at(table.reshape(-1), flat, rows.reshape(-1))
+    flat = np.multiply(ids.reshape(-1, 1), width,
+                       out=ws.take("rows_at.index", (ids.size, width), np.int64))
+    flat += np.arange(width)
+    np.add.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
 def row_views(a):

@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from lmkit import cli, models, ngram
-from lmkit.corpus import TokenizedCorpus, future_window
+from lmkit import cli, lattice, models, ngram
+from lmkit.corpus import TokenizedCorpus, Vocabulary, future_window
 from lmkit.interpolate import InterpConfig, two_stage
 from lmkit.lattice import make_two_stage_scorer
 
@@ -89,6 +89,36 @@ def test_train_is_deterministic(ws, tmp_path):
             "--streams", 4, "--bptt", 16])
     assert (tmp_path / "u.model").read_bytes() == \
         (ws / "uni.model").read_bytes()
+
+
+def test_train_writes_gradient_statistics_to_stderr(ws, tmp_path):
+    fx = ws / "fx"
+    argv = ["train", "--arch", "uni", "--train", fx / "train.txt",
+            "--vocab", fx / "vocab.txt", "--model-out", tmp_path / "u.model",
+            "--hidden", 12, "--embed", 8, "--seed", 7, "--epochs", 2,
+            "--streams", 4, "--bptt", 16]
+    vocab = Vocabulary.load(fx / "vocab.txt")
+    with open(fx / "train.txt", encoding="utf-8") as f:
+        corpus = TokenizedCorpus.from_lines(vocab, [line for line in f if line.strip()])
+    # 0.5 is under the first epoch's largest norm, so some updates clip
+    for clip in (5.0, 0.5):
+        code, out, err = run(argv + ["--clip", clip])
+        assert code == 0, err
+        log = models.UniRnnlm(vocab, 12, 8, seed=7).train(
+            corpus, models.Hyper(epochs=2, num_streams=4, bptt=16, clip=clip))
+        want = ["epoch %d grad_norm_max %.6f clipped_updates %d" % (i, n, c)
+                for i, (n, c) in enumerate(zip(log["grad_norm_max"],
+                                               log["clipped_updates"]), 1)]
+        assert err.splitlines()[:2] == want
+        assert "w/s" in err.splitlines()[2]
+        # stdout and the model file are what they were without the lines
+        assert out == "".join("epoch %d loss %.6f\n" % (i, loss)
+                              for i, loss in enumerate(log["epoch_loss"], 1)) \
+            + "wrote %s\n" % (tmp_path / "u.model")
+    assert log["clipped_updates"][0] > 0
+    assert (tmp_path / "u.model").read_bytes() != (ws / "uni.model").read_bytes()
+    run_ok(argv)
+    assert (tmp_path / "u.model").read_bytes() == (ws / "uni.model").read_bytes()
 
 
 def test_usage_errors_exit_1(ws):
@@ -183,6 +213,35 @@ def test_data_errors_name_the_file_and_line(ws, tmp_path):
                             "--jobs", jobs])
         assert code == 2, err
         assert err == "data error: %s: line %d: arc endpoint out of range\n" % (bad, line)
+
+
+def test_rescore_expansion_budget_exits_2(ws, tmp_path, monkeypatch):
+    fx = ws / "fx"
+    lat_dir = tmp_path / "lat"
+    lat_dir.mkdir()
+    for name in ("utt0000.slf", "utt0001.slf"):
+        (lat_dir / name).write_text((fx / "lattices" / name).read_text())
+    argv = ["rescore", "--lattices", lat_dir, "--model", ws / "uni.model",
+            "--su-model", ws / "su1.model"]
+    ok = run_ok(argv)
+    # the most states one pass creates over both lattices is within budget
+    uni = models.load_rnnlm(ws / "uni.model")
+    su = models.load_rnnlm(ws / "su1.model")
+    most, worst = 0, None
+    for name in ("utt0000.slf", "utt0001.slf"):
+        mid = lattice.rescore_lattice_uni(lattice.load_slf(lat_dir / name), uni)
+        out = lattice.rescore_lattice_su(mid, su)
+        for n in (len(mid.nodes), len(out.nodes)):
+            if n > most:
+                most, worst = n, lat_dir / name
+    monkeypatch.setattr(lattice, "MAX_STATES", most)
+    assert run_ok(argv) == ok
+    monkeypatch.setattr(lattice, "MAX_STATES", most - 1)
+    for jobs in (1, 2):
+        code, out, err = run(argv + ["--jobs", jobs])
+        assert code == 2, err
+        assert err == "data error: %s: rescoring expanded the lattice past %d states\n" \
+            % (worst, most - 1)
 
 
 def test_non_finite_scores_exit_2(ws, tmp_path):

@@ -9,6 +9,7 @@ rounds differently from the per-step products.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,89 @@ def test_bi_batches_match_stepwise_reference(span_corpus, dtype):
         want_loss, want_grads = _reference_bi_batch(model, batch)
         assert loss == want_loss
         _same_grads(grads, want_grads)
+
+
+@pytest.mark.parametrize("succ", [0, 3])
+def test_uni_and_su_spans_through_one_workspace(span_corpus, succ):
+    vocab, corpus = span_corpus
+    model = (SuRnnlm(vocab, H, E, succ=succ, seed=38) if succ
+             else UniRnnlm(vocab, H, E, seed=38))
+    rects = model._batches(corpus, S)
+    h = np.random.default_rng(39).uniform(-1.0, 1.0, size=(S, H))
+    ws = nn.Workspace()
+    carry = None
+    # the last span is shorter than the others, as uni's last span is
+    for t0, t1 in ((0, 32), (32, 64), (64, 75)):
+        for want_grads in (True, False):
+            got = model._forward_backward(*rects, t0, t1, h, want_grads, ws)
+            want = model._forward_backward(*rects, t0, t1, h, want_grads)
+            assert got[:2] == want[:2] and _same(got[3], want[3])
+            if want_grads:
+                _same_grads(got[2], want[2])
+        if carry is not None:
+            # the previous span's carry outlived this span's reuse
+            assert _same(carry, saved)
+        carry, saved = got[3], got[3].copy()
+        h = carry
+
+
+def test_bi_batches_through_one_workspace(span_corpus):
+    vocab, corpus = span_corpus
+    model = BiRnnlm(vocab, H, E, seed=40)
+    wide = make_null_aligned_batches(corpus, S)
+    narrow = make_null_aligned_batches(corpus, S // 2 + 1)
+    by_length = sorted(wide, key=lambda b: b.rows.shape[1])
+    # longer then shorter rows, then fewer of them, then longer again
+    order = [by_length[-1], by_length[0], narrow[0],
+             max(narrow, key=lambda b: b.rows.shape[1]), wide[-1]]
+    assert len({b.rows.shape for b in order}) == len(order)
+    ws = nn.Workspace()
+    for batch in order:
+        for want_grads in (True, False):
+            got = model.loss_and_grads_batch(batch, want_grads, ws)
+            want = model.loss_and_grads_batch(batch, want_grads)
+            assert got[:2] == want[:2]
+            if want_grads:
+                _same_grads(got[2], want[2])
+
+
+# streams for the allocation guard: at 32 rows a span's stacks outweigh its
+# per-step rows and fresh gradients, so one stack is a bound with margin
+GUARD_STREAMS = 32
+
+
+@pytest.mark.parametrize("arch", ["uni", "su3", "bi"])
+def test_later_spans_allocate_no_stack_outside_the_workspace(span_corpus, arch):
+    vocab, corpus = span_corpus
+    model = {"uni": lambda: UniRnnlm(vocab, H, E, seed=41),
+             "su3": lambda: SuRnnlm(vocab, H, E, succ=3, seed=42),
+             "bi": lambda: BiRnnlm(vocab, H, E, seed=43)}[arch]()
+    batches = model._batches(corpus, GUARD_STREAMS)
+    if arch == "bi":
+        # longest first, so the workspace needs no growth after the first
+        batches = sorted(batches, key=lambda b: -b.rows.shape[1])
+        steps = [b.rows.shape[1] - 1 for b in batches]
+    else:
+        width = batches[0].shape[1]
+        steps = [min(32, width - t0) for t0 in range(0, width, 32)]
+    assert len(steps) >= 3
+    updates = model._updates(batches, nn.Workspace(), 32)
+    tracemalloc.start()
+    try:
+        next(updates)
+        for T in steps[1:]:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, _, grads, _ = next(updates)
+            # the most the span held at once besides the workspace and the
+            # gradients it returns: under one (T, S, H) stack, so no such
+            # stack was allocated outside the workspace
+            held = tracemalloc.get_traced_memory()[1] - base
+            held -= sum(g.nbytes for g in grads.values())
+            assert held < T * GUARD_STREAMS * H * np.dtype(model.dtype).itemsize, T
+            del grads
+    finally:
+        tracemalloc.stop()
 
 
 def _params_sha256(model):
