@@ -213,19 +213,6 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 # ppl
 
-def _linear_scorer(arpa, model, lam, sentences):
-    """Per-word scores of the linear mix for each sentence; lam 0 and 1 give
-    either model's own scores, bit for bit."""
-    if lam == 0.0:
-        return [arpa.sentence_word_logprobs(ids) for ids in sentences]
-    lp_model = model.word_logprobs(sentences)
-    if lam == 1.0:
-        return lp_model
-    return [[interpolate.safe_ln(interpolate.linear(math.exp(a), math.exp(b), lam))
-             for a, b in zip(arpa.sentence_word_logprobs(ids), lp_b)]
-            for ids, lp_b in zip(sentences, lp_model)]
-
-
 def cmd_ppl(args):
     if args.model is None and args.arpa is None:
         raise UsageError("need --model and/or --arpa")
@@ -250,12 +237,12 @@ def cmd_ppl(args):
     test = corpus_mod.TokenizedCorpus.from_file(vocab, args.test)
     sentences = test.sentences
     # uni and su score the test set through bounded prefix tries, with the
-    # bytes of scoring each sentence alone; bi scores sentence by sentence
-    if su is not None:
+    # bytes of scoring each sentence alone; bi scores sentence by sentence.
+    # The n-gram mixes go through the n-best scorer, so --lambda1 0 and 1
+    # reproduce either model's own scores there too
+    if arpa is not None and model is not None:
         scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, args.alpha)
         scores = scorer.word_scores(sentences)
-    elif arpa is not None and model is not None:
-        scores = _linear_scorer(arpa, model, args.lambda1, sentences)
     elif model is not None:
         scores = model.word_logprobs(sentences, args.alpha if model.arch == "su" else 1.0)
     else:
@@ -396,14 +383,19 @@ def cmd_rescore(args):
 # tune
 
 def cmd_tune(args):
+    if args.lambda1 is not None:
+        if not args.su_model:
+            raise UsageError("--lambda1 fixes the linear weight of the "
+                             "--su-model grid; it needs --su-model")
+        try:
+            interpolate.InterpConfig(lambda1=args.lambda1).validate()
+        except ValueError as e:
+            raise UsageError(str(e))
     uni = _load_rnnlm(args.model, want=("uni",))
     arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
     test = corpus_mod.TokenizedCorpus.from_file(uni.vocab, args.test)
-    pair_lists = []
-    for ids, lp_b in zip(test.sentences, uni.word_logprobs(test.sentences)):
-        lp_a = arpa.sentence_word_logprobs(ids)
-        pair_lists.append([(math.exp(a), math.exp(b))
-                           for a, b in zip(lp_a, lp_b)])
+    pair_lists = [list(zip(arpa.sentence_word_logprobs(ids), lp_b))
+                  for ids, lp_b in zip(test.sentences, uni.word_logprobs(test.sentences))]
     lam1, ppl1, table = interpolate.tune_linear(pair_lists)
     for lam, val in table:
         print("lambda1 %.2f ppl %.4f" % (lam, val))
@@ -418,9 +410,8 @@ def cmd_tune(args):
     flat_lin = []
     flat_su = []
     for sent_pairs, lp_s in zip(pair_lists, su.word_logprobs(test.sentences, args.alpha)):
-        for (p_a, p_b), s in zip(sent_pairs, lp_s):
-            flat_lin.append(interpolate.safe_ln(
-                interpolate.linear(p_a, p_b, lam1)))
+        for (a, b), s in zip(sent_pairs, lp_s):
+            flat_lin.append(interpolate.linear_logprob(a, b, lam1))
             flat_su.append(s)
 
     def pseudo_at(lam2):
@@ -587,7 +578,9 @@ def _build_parser():
     sp.add_argument("--su-model", metavar="FILE",
                     help="also tune the log-linear weight of this model")
     sp.add_argument("--lambda1", type=float,
-                    help="freeze the linear weight instead of tuning it")
+                    help="with --su-model, grid the log-linear weight at this "
+                         "linear weight instead of the tuned one (the "
+                         "lambda1 grid is still printed)")
     sp.add_argument("--alpha", type=float, default=0.7,
                     help="smoothing factor for succeeding-word scores "
                          "(default %(default)s)")
@@ -629,8 +622,7 @@ def main(argv=None):
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1
-    except (corpus_mod.CorpusError, ngram_mod.FormatError,
-            lattice_mod.LatticeError, ConfigError, OSError) as e:
+    except (corpus_mod.CorpusError, corpus_mod.DataError, ConfigError, OSError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return 2
     except nn.NumericError as e:

@@ -179,45 +179,17 @@ class TokenizedCorpus:
             return cls.from_lines(vocab, fh)
 
 
-class FutureWindow:
-    """The k word ids following one sentence position, padded past the end."""
-
-    __slots__ = ("ids", "pad_mask")
-
-    def __init__(self, ids, pad_mask):
-        self.ids = tuple(ids)
-        self.pad_mask = tuple(pad_mask)
-
-
-def future_window(vocab, sentence, t, k):
-    """Window of the k ids after position t; PAD fills slots past the end."""
-    if not 0 <= t < len(sentence):
-        raise CorpusError("position out of range")
-    if k < 0:
-        raise CorpusError("window size must be non-negative")
-    ids, mask = [], []
-    for j in range(1, k + 1):
-        if t + j < len(sentence):
-            ids.append(sentence[t + j])
-            mask.append(False)
-        else:
-            ids.append(vocab.pad)
-            mask.append(True)
-    return FutureWindow(ids, mask)
-
-
 class SplicedBatch:
     """Sentences spliced end to end into a fixed number of parallel streams.
 
     `streams[s]` is an int array of ids; step t of a stream predicts
-    `streams[s][t+1]`.  When built with `future_k > 0`, `step_windows[s]`
-    holds the (T-1, k) window ids aligned with those steps; windows never
-    cross a sentence boundary.
+    `streams[s][t+1]`, and every sentence opens with its begin token.  When
+    built with `future_k > 0`, `step_windows[s]` holds the (T-1, k) window
+    ids aligned with those steps; windows never cross a sentence boundary.
     """
 
-    def __init__(self, streams, sentence_starts, step_windows=None):
+    def __init__(self, streams, step_windows=None):
         self.streams = streams
-        self.sentence_starts = sentence_starts
         self.step_windows = step_windows
 
     @property
@@ -242,13 +214,14 @@ def make_spliced_batches(corpus, num_streams, future_k=0):
     if future_k > 0:
         windows = [_stream_windows(stream, sent_starts, corpus.vocab.pad, future_k)
                    for stream, sent_starts in zip(streams, starts)]
-    return SplicedBatch(streams, starts, windows)
+    return SplicedBatch(streams, windows)
 
 
 def _stream_windows(stream, starts, pad, k):
-    """(T-1, k) windows of one stream: step t predicts stream position t+1,
-    and its window is `future_window` of that position within its sentence,
-    so slots at or past the sentence end hold PAD."""
+    """(T-1, k) windows of one stream, its sentences starting at `starts`:
+    step t predicts stream position t+1, and its window holds the k ids
+    after that position within its sentence, PAD at or past the sentence
+    end."""
     steps = max(len(stream) - 1, 0)
     # end (exclusive) of the sentence each stream position belongs to
     bounds = list(starts) + [len(stream)]
@@ -261,10 +234,9 @@ def _stream_windows(stream, starts, pad, k):
 class AlignedNullBatch:
     """Sentences left-aligned into a rectangle, short rows padded with NULL."""
 
-    def __init__(self, rows, lengths, null_id):
+    def __init__(self, rows, lengths):
         self.rows = rows                      # (S, T) int array
         self.lengths = np.asarray(lengths)    # true encoded lengths
-        self.null_mask = rows == null_id      # True on padding cells
 
     @property
     def num_rows(self):
@@ -285,5 +257,5 @@ def make_null_aligned_batches(corpus, num_streams):
         rows = np.full((len(group), width), null_id, dtype=np.int64)
         for r, sent in enumerate(group):
             rows[r, :len(sent)] = sent
-        batches.append(AlignedNullBatch(rows, [len(s) for s in group], null_id))
+        batches.append(AlignedNullBatch(rows, [len(s) for s in group]))
     return batches

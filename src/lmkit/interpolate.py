@@ -6,6 +6,11 @@ with exponential weights; the result is unnormalized, which is acceptable for
 ranking hypotheses but not for perplexity.  The two-stage rule applies them in
 order: first a linear mix of two normalized streams, then a log-linear mix of
 that result with a third, unnormalized stream.
+
+Every caller that mixes two log scores linearly (ppl, tune, n-best
+reranking without a succeeding-word model, linear lattice rescoring) goes
+through `linear_logprob`, so weight 0 and 1 give either stream's own scores
+bit for bit everywhere: exp and log do not round trip.
 """
 
 import math
@@ -42,6 +47,17 @@ def linear(p_a, p_b, lam):
     if lam == 1.0:
         return p_b
     return (1.0 - lam) * p_a + lam * p_b
+
+
+def linear_logprob(lp_a, lp_b, lam):
+    """The linear rule on natural-log scores: ln((1 - lam) * e^lp_a +
+    lam * e^lp_b).  lam = 0 returns lp_a and lam = 1 returns lp_b unchanged,
+    so the endpoints reproduce the component models exactly."""
+    if lam == 0.0:
+        return lp_a
+    if lam == 1.0:
+        return lp_b
+    return safe_ln(linear(math.exp(lp_a), math.exp(lp_b), lam))
 
 
 def loglinear_score(lp_a, lp_b, lam):
@@ -81,9 +97,9 @@ def grid_search(eval_fn, grid=DEFAULT_GRID):
 def tune_linear(pair_lists, grid=DEFAULT_GRID):
     """Pick the linear weight that minimizes perplexity.
 
-    pair_lists holds, per sentence, the (p_a, p_b) probability pairs for every
-    predicted token, so each grid point is a cheap re-mix rather than a
-    re-score.  Returns (best_lambda, best_ppl, table)."""
+    pair_lists holds, per sentence, the (lp_a, lp_b) natural-log score pairs
+    for every predicted token, so each grid point is a cheap re-mix rather
+    than a re-score.  Returns (best_lambda, best_ppl, table)."""
     flat = [pair for sent in pair_lists for pair in sent]
     if not flat:
         raise ValueError("no scored tokens to tune on")
@@ -91,8 +107,8 @@ def tune_linear(pair_lists, grid=DEFAULT_GRID):
 
     def ppl_at(lam):
         total = 0.0
-        for p_a, p_b in flat:
-            total += safe_ln(linear(p_a, p_b, lam))
+        for lp_a, lp_b in flat:
+            total += linear_logprob(lp_a, lp_b, lam)
         return math.exp(-total / n)
 
     return grid_search(ppl_at, grid)

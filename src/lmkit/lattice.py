@@ -799,28 +799,12 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
     return out
 
 
-def _linear_combine(lam):
-    def f(old_lm, lp):
-        if lam == 0.0:
-            return old_lm
-        if lam == 1.0:
-            return lp
-        return interpolate.safe_ln(
-            interpolate.linear(math.exp(old_lm), math.exp(lp), lam))
-    return f
-
-
-def _loglinear_combine(lam):
-    def f(old_lm, lp):
-        return interpolate.loglinear_score(max(old_lm, LM_FLOOR), lp, lam)
-    return f
-
-
 def _combine_fn(combine, lam):
+    """combine(old_lm, lp): the arc's new lm score under rule `combine`."""
     if combine == "linear":
-        return _linear_combine(lam)
+        return lambda old_lm, lp: interpolate.linear_logprob(old_lm, lp, lam)
     if combine == "loglinear":
-        return _loglinear_combine(lam)
+        return lambda old_lm, lp: interpolate.loglinear_score(max(old_lm, LM_FLOOR), lp, lam)
     raise ValueError("unknown combine rule %r" % (combine,))
 
 
@@ -911,17 +895,17 @@ class TwoStageScorer:
         out = [[] for _ in seqs]
         for t, (dist_u, dist_s, visits) in enumerate(zip(trie.dists(uni), dists_s, trie.visits), 1):
             # every key below holds for this depth only
-            p_ng, scores, log_zs = {}, {}, {}
+            lp_ng, scores, log_zs = {}, {}, {}
 
             def combined(ids, row, col, w):
-                p = p_ng.get((row, w))
-                if p is None:
-                    p = p_ng[(row, w)] = math.exp(self.ngram.logprob(tuple(ids[:t]), w))
-                p_u = math.exp(uni.word_logprob_from_dist(dist_u[row], w))
+                lp = lp_ng.get((row, w))
+                if lp is None:
+                    lp = lp_ng[(row, w)] = self.ngram.logprob(tuple(ids[:t]), w)
+                lp_u = uni.word_logprob_from_dist(dist_u[row], w)
                 if su is None:
-                    return interpolate.safe_ln(interpolate.linear(p, p_u, cfg.lambda1))
+                    return interpolate.linear_logprob(lp, lp_u, cfg.lambda1)
                 p_s = math.exp(su.word_logprob_from_dist(dist_s[col], w))
-                return interpolate.two_stage(p, p_u, p_s, cfg)
+                return interpolate.two_stage(math.exp(lp), math.exp(lp_u), p_s, cfg)
 
             for i, row, col in visits:
                 ids = seqs[i]

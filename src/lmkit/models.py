@@ -22,10 +22,12 @@ class's own attributes, so `UniRnnlm` and `BiRnnlm` keep `train` (a call
 into the base) and `word_logprob_from_dist` (the base's, bound again) as
 their own.
 
-uni and su score through `advance` and `output_dist`, one state or a (B, H)
-stack whose row i has the bytes of the call on row i alone: per frontier in
-lattice rescoring, per depth of a `PrefixTrie` of up to `TRIE_SENTENCES`
-sentences.  bi scores one sentence at a time, through one workspace.
+uni and su score only through `advance` and `output_dist`, one state or a
+(B, H) stack whose row i has the bytes of the call on row i alone: per
+frontier in lattice rescoring, per depth of a `PrefixTrie` of up to
+`TRIE_SENTENCES` sentences.  bi scores one sentence at a time, through one
+workspace.  A word's log probability is `interpolate.safe_ln` of its
+output slot; `load_rnnlm` rejects non-finite weights, so no NaN reaches it.
 
 Training works a span at a time: a bptt span of the spliced streams (uni,
 su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
@@ -50,8 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .corpus import Vocabulary, make_null_aligned_batches, make_spliced_batches
+from .corpus import DataError, Vocabulary, make_null_aligned_batches, make_spliced_batches
 from .evaluate import ordered_sum
+from .interpolate import safe_ln
 
 # sentences per prefix trie: a trie depth holds one output distribution per
 # distinct prefix (or prefix and window) of its sentences, so this bounds a
@@ -76,10 +79,6 @@ class Hyper:
     num_streams: int = 8
     bptt: int = 32
     clip: float = 5.0
-
-
-def _safe_log(p):
-    return math.log(p) if p > 0.0 else float("-inf")
 
 
 class PrefixTrie:
@@ -176,8 +175,8 @@ class Rnnlm:
         mass uniformly over the words it covers."""
         p = dist[self.vocab.output_index(word_id)]
         if self.vocab.is_oos(word_id):
-            return _safe_log(p) - math.log(self.vocab.n_oos)
-        return _safe_log(p)
+            return safe_ln(p) - math.log(self.vocab.n_oos)
+        return safe_ln(p)
 
     def sentence_word_logprobs(self, ids, alpha=1.0):
         """word_logprobs of one encoded sentence."""
@@ -311,10 +310,11 @@ class Rnnlm:
     def save(self, path):
         nn.save_model(path, self._header(), self.params())
 
-    def _restore(self, tensors):
+    def _restore(self, tensors, path):
         for name, arr in self.params().items():
             if name not in tensors or tensors[name].shape != arr.shape:
-                raise ValueError("model container missing tensor %s" % name)
+                raise DataError("model container lacks tensor %s of shape %s"
+                                % (name, arr.shape), path=path)
             arr[...] = tensors[name]
 
 
@@ -354,11 +354,6 @@ class UniRnnlm(Rnnlm):
     def output_dist(self, h, window=None, alpha=1.0):
         """Smoothed output distribution; stacks as in output_logits."""
         return smooth(self.output_logits(h, window), alpha)
-
-    def step(self, h, prev_id, window=None, alpha=1.0):
-        """One prediction step: distribution over output slots and new state."""
-        h_new = self.advance(h, prev_id)
-        return self.output_dist(h_new, window, alpha), h_new
 
     # an own attribute for the tracer; see the module docstring
     word_logprob_from_dist = Rnnlm.word_logprob_from_dist
@@ -595,18 +590,23 @@ class BiRnnlm(Rnnlm):
 
 
 def load_rnnlm(path):
-    """Rebuild a model from the container written by `save`."""
+    """Rebuild a model from the container written by `save`.  A container
+    that does not hold a whole model of a known architecture raises
+    DataError naming the path."""
     header, tensors = nn.load_model(path)
-    vocab = Vocabulary(header["words"], header["shortlist_size"])
-    dtype = np.dtype(header["dtype"])
-    arch = header["arch"]
-    if arch == "su":
-        model = SuRnnlm(vocab, header["hidden"], header["embed"], succ=header["succ"],
-                        future_hidden=header.get("future_hidden") or None, dtype=dtype)
-    elif arch in ("uni", "bi"):
-        model = {"uni": UniRnnlm, "bi": BiRnnlm}[arch](
-            vocab, header["hidden"], header["embed"], dtype=dtype)
-    else:
-        raise ValueError("unknown architecture %r" % arch)
-    model._restore(tensors)
+    arch = header.get("arch")
+    if arch not in ("uni", "su", "bi"):
+        raise DataError("unknown architecture %r" % (arch,), path=path)
+    try:
+        vocab = Vocabulary(header["words"], header["shortlist_size"])
+        dtype = np.dtype(header["dtype"])
+        dims = header["hidden"], header["embed"]
+        if arch == "su":
+            model = SuRnnlm(vocab, *dims, succ=header["succ"],
+                            future_hidden=header.get("future_hidden") or None, dtype=dtype)
+        else:
+            model = {"uni": UniRnnlm, "bi": BiRnnlm}[arch](vocab, *dims, dtype=dtype)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError("malformed model header (%s)" % e, path=path) from None
+    model._restore(tensors, path)
     return model

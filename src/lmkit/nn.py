@@ -14,7 +14,11 @@ A training loop holds one Workspace, and every span-sized stack of its
 spans (inputs, gates, states, gradients, products) is a view written into
 it with `out=`; the loop drops it when it returns.  A call outside any
 loop takes FRESH, new arrays through the same `take`.  The arithmetic is
-that of freshly allocated arrays, so the bytes are too."""
+that of freshly allocated arrays, so the bytes are too.
+
+sgd_step clips the gradients to a global norm in place before it updates
+the weights.  load_model returns a container's tensors only when they are
+all there and finite; anything else is a DataError naming the file."""
 
 import json
 import math
@@ -22,6 +26,8 @@ import os
 import struct
 
 import numpy as np
+
+from .corpus import DataError
 
 MODEL_MAGIC = b"LMKIT1\n"
 
@@ -354,20 +360,15 @@ def global_norm(grads):
     return np.sqrt(total)
 
 
-def clip_global_norm(grads, clip):
-    """Scale all gradients in place so their global norm is at most `clip`."""
+def sgd_step(params, grads, lr, clip=None):
+    """In-place SGD update with optional global-norm clipping: when the
+    global norm exceeds `clip`, every gradient is first scaled in place so
+    that it is `clip`.  Returns the global norm before clipping."""
     norm = global_norm(grads)
     if clip is not None and norm > clip:
         scale = clip / norm
         for g in grads.values():
             g *= scale
-    return norm
-
-
-def sgd_step(params, grads, lr, clip=None):
-    """In-place SGD update with optional global-norm clipping.  Returns the
-    global norm of the gradients before clipping."""
-    norm = clip_global_norm(grads, clip)
     for name, p in params.items():
         p -= lr * grads[name]
     return norm
@@ -406,18 +407,36 @@ def save_model(path, header, tensors):
     os.replace(tmp, path)
 
 
+def _read(fh, n, path):
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise DataError("model container is truncated", path=path)
+    return buf
+
+
 def load_model(path):
+    """Read a container written by `save_model`: (header, tensors).  A file
+    that is not a whole container of finite float tensors (bad magic, a
+    short read, an undecodable header, non-finite values) raises DataError
+    naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ValueError("not a model container: %s" % path)
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            raise DataError("not a model container", path=path)
+        (hlen,) = struct.unpack("<I", _read(fh, 4, path))
+        blob = _read(fh, hlen, path)
+        try:
+            header = json.loads(blob.decode())
+            specs = [(spec["name"], tuple(int(d) for d in spec["shape"]), np.dtype(spec["dtype"]))
+                     for spec in header["tensors"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError("undecodable model header (%s)" % e, path=path) from None
         tensors = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            dtype = np.dtype(spec["dtype"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * dtype.itemsize)
-            tensors[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        for name, shape, dtype in specs:
+            if dtype.kind != "f" or min(shape, default=0) < 0:
+                raise DataError("bad tensor spec for %s" % name, path=path)
+            buf = _read(fh, math.prod(shape) * dtype.itemsize, path)
+            arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise DataError("non-finite values in tensor %s" % name, path=path)
+            tensors[name] = arr
     return header, tensors

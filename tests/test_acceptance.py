@@ -491,11 +491,15 @@ def test_criterion_11_training_throughput(vocab, train_corpus, capsys):
     with _criterion(11, "the su model trains about as fast as uni and "
                         "both run at least three times faster than bi", capsys) as c:
         hyper = Hyper(epochs=2, num_streams=16, bptt=32)
-        wps = {}
-        for name, model in (("uni", UniRnnlm(vocab, 48, 24, seed=50)),
-                            ("su", SuRnnlm(vocab, 48, 24, succ=1, seed=51)),
-                            ("bi", BiRnnlm(vocab, 48, 24, seed=52))):
-            wps[name] = model.train(train_corpus, hyper)["wps"]
+        # three interleaved trials of fresh models, each model's best rate:
+        # one wall-clock run per model on a shared host can swing a ratio
+        # by more than its margin
+        wps = {"uni": 0.0, "su": 0.0, "bi": 0.0}
+        for _ in range(3):
+            for name, model in (("uni", UniRnnlm(vocab, 48, 24, seed=50)),
+                                ("su", SuRnnlm(vocab, 48, 24, succ=1, seed=51)),
+                                ("bi", BiRnnlm(vocab, 48, 24, seed=52))):
+                wps[name] = max(wps[name], model.train(train_corpus, hyper)["wps"])
         c.say("  words/s uni %.0f  su %.0f  bi %.0f"
              % (wps["uni"], wps["su"], wps["bi"]))
         assert 0.75 <= wps["su"] / wps["uni"] <= 1.25

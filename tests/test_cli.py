@@ -5,15 +5,17 @@ import hashlib
 import io
 import math
 import os
+import struct
 import sys
 
 import numpy as np
 import pytest
 
-from lmkit import cli, lattice, models, ngram
-from lmkit.corpus import TokenizedCorpus, Vocabulary, future_window
+from lmkit import cli, lattice, models, ngram, nn
+from lmkit.corpus import TokenizedCorpus, Vocabulary
 from lmkit.interpolate import InterpConfig, two_stage
 from lmkit.lattice import make_two_stage_scorer
+from oracles import future_window, step
 
 
 def run(argv):
@@ -153,6 +155,10 @@ def test_usage_errors_exit_1(ws):
          "--model", ws / "su1.model"],
         ["rescore", "--lattices", fx / "lattices",
          "--model", ws / "uni.model", "--ngram-approx", 0],
+        ["tune", "--test", fx / "test.txt", "--arpa", fx / "baseline.arpa",
+         "--model", ws / "uni.model", "--su-model", ws / "su1.model", "--lambda1", 1.5],
+        ["tune", "--test", fx / "test.txt", "--arpa", fx / "baseline.arpa",
+         "--model", ws / "uni.model", "--lambda1", 0.5],
         ["--config"],
     ]
     for argv in bad:
@@ -186,6 +192,45 @@ def test_data_errors_exit_2(ws, tmp_path):
         code, _, err = run(argv)
         assert code == 2, (argv, err)
         assert "data error:" in err
+
+
+def _bad_model(ws, path, case):
+    """Write a broken copy of the uni model container to `path`."""
+    raw = (ws / "uni.model").read_bytes()
+    header, tensors = nn.load_model(ws / "uni.model")
+    header.pop("tensors")
+    if case == "bad magic":
+        path.write_text("this is not a model\n")
+        return
+    if case == "short read":
+        path.write_bytes(raw[:-9])
+        return
+    if case == "undecodable header":
+        hlen = struct.unpack("<I", raw[7:11])[0]
+        path.write_bytes(raw[:11] + b"\xff" * hlen + raw[11 + hlen:])
+        return
+    if case == "missing tensor":
+        del tensors["gru.Uh"]
+    elif case == "mis-shaped tensor":
+        tensors["out.b"] = tensors["out.b"][:-1]
+    elif case == "unknown arch":
+        header["arch"] = "tri"
+    elif case == "malformed header":
+        header["hidden"] = "twelve"
+    elif case == "non-finite weight":
+        tensors["gru.Wz"][1, 2] = float("nan")
+    nn.save_model(str(path), header, tensors)
+
+
+@pytest.mark.parametrize("case", ["bad magic", "short read", "undecodable header",
+                                  "missing tensor", "mis-shaped tensor", "unknown arch",
+                                  "malformed header", "non-finite weight"])
+def test_malformed_model_files_exit_2(ws, tmp_path, case):
+    path = tmp_path / "bad.model"
+    _bad_model(ws, path, case)
+    code, out, err = run(["ppl", "--test", ws / "fx" / "test.txt", "--model", path])
+    assert code == 2 and out == "", err
+    assert err.startswith("data error: %s: " % path), err
 
 
 def _with_field(text, key, value):
@@ -349,9 +394,9 @@ def test_ppl_two_stage_matches_step_by_step_walk(ws, tmp_path):
         want = []
         h_u, h_s = uni.zero_state(), su.zero_state()
         for t in range(1, len(ids)):
-            dist_u, h_u = uni.step(h_u, ids[t - 1])
-            win = future_window(vocab, ids, t, su.k).ids
-            dist_s, h_s = su.step(h_s, ids[t - 1], win, 0.7)
+            dist_u, h_u = step(uni, h_u, ids[t - 1])
+            win = future_window(vocab.pad, ids, t, su.k)
+            dist_s, h_s = step(su, h_s, ids[t - 1], win, 0.7)
             want.append(two_stage(math.exp(arpa.logprob(ids[:t], ids[t])),
                                   math.exp(uni.word_logprob_from_dist(dist_u, ids[t])),
                                   math.exp(su.word_logprob_from_dist(dist_s, ids[t])),

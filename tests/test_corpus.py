@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lmkit.corpus import (CorpusError, SPECIALS, TokenizedCorpus, Vocabulary,
-                          build_vocabulary, future_window,
-                          make_null_aligned_batches, make_spliced_batches)
+                          build_vocabulary, make_null_aligned_batches,
+                          make_spliced_batches)
+from lmkit.models import PrefixTrie
+from oracles import future_window
 
 LINES = [
     "b a b c",
@@ -81,13 +83,18 @@ def test_vocab_load_requires_reserved_block(tmp_path):
 
 
 def test_future_window_pads_past_sentence_end():
+    # the training windows and the scorers' trie windows hold the ids after
+    # a position within its sentence, PAD at and past its end
     v = build_vocabulary(LINES)
-    ids = v.encode("a b")          # <s> a b </s>
-    w = future_window(v, ids, 1, 3)
-    assert w.ids == (ids[2], ids[3], v.pad)
-    assert w.pad_mask == (False, False, True)
-    w = future_window(v, ids, 3, 2)
-    assert w.ids == (v.pad, v.pad)
+    corpus = TokenizedCorpus.from_lines(v, ["a b"])
+    ids = corpus.sentences[0]      # <s> a b </s>
+    windows = make_spliced_batches(corpus, 1, future_k=3).step_windows[0]
+    # step t predicts position t + 1
+    assert tuple(windows[0]) == (ids[2], ids[3], v.pad)
+    assert tuple(windows[2]) == (v.pad, v.pad, v.pad)
+    trie = PrefixTrie([ids], 2, v.pad)
+    assert [tuple(pairs[0][1:]) for _, _, pairs in trie.levels] == [
+        (ids[2], ids[3]), (ids[3], v.pad), (v.pad, v.pad)]
 
 
 def test_spliced_batches_cover_every_bigram_once():
@@ -101,7 +108,7 @@ def test_spliced_batches_cover_every_bigram_once():
     got = []
     for s in range(batch.num_streams):
         stream = batch.streams[s]
-        starts = set(batch.sentence_starts[s])
+        starts = set(np.flatnonzero(stream == v.sent_begin))
         for t in range(len(stream) - 1):
             # a sentence start right after t means stream[t+1] opens a new
             # sentence, so no prediction crosses that seam
@@ -118,12 +125,12 @@ def test_spliced_windows_match_per_sentence_recomputation():
     batch = make_spliced_batches(corpus, 2, future_k=k)
     for s in range(batch.num_streams):
         stream = batch.streams[s]
-        bounds = list(batch.sentence_starts[s]) + [len(stream)]
+        bounds = list(np.flatnonzero(stream == v.sent_begin)) + [len(stream)]
         for lo, hi in zip(bounds, bounds[1:]):
             sent = list(stream[lo:hi])
             for t in range(lo, hi - 1):
-                fw = future_window(v, sent, t + 1 - lo, k)
-                assert tuple(batch.step_windows[s][t]) == fw.ids
+                fw = future_window(v.pad, sent, t + 1 - lo, k)
+                assert tuple(batch.step_windows[s][t]) == fw
 
 
 def test_null_aligned_batches_pad_with_null():
@@ -138,7 +145,6 @@ def test_null_aligned_batches_pad_with_null():
             n = int(b.lengths[r])
             seen.append(row[:n])
             assert all(x == v.null for x in row[n:])
-            assert list(b.null_mask[r][n:]) == [True] * (len(row) - n)
     assert seen == corpus.sentences
 
 

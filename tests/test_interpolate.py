@@ -3,7 +3,8 @@ import math
 import pytest
 
 from lmkit.interpolate import (DEFAULT_GRID, InterpConfig, grid_search, linear,
-                               loglinear_score, safe_ln, tune_linear, two_stage)
+                               linear_logprob, loglinear_score, safe_ln, tune_linear,
+                               two_stage)
 
 
 def test_linear_endpoints_are_exact():
@@ -13,6 +14,18 @@ def test_linear_endpoints_are_exact():
 
 def test_linear_midpoint():
     assert abs(linear(0.2, 0.6, 0.25) - 0.3) < 1e-15
+
+
+def test_linear_logprob_endpoints_return_the_log_scores():
+    # exp and log do not round trip: the endpoints must not go through them
+    a = -0.997
+    assert math.log(math.exp(a)) != a
+    b = math.log(0.8)
+    assert linear_logprob(a, b, 0.0) == a
+    assert linear_logprob(b, a, 1.0) == a
+    assert linear_logprob(a, float("-inf"), 0.0) == a
+    assert linear_logprob(a, b, 0.3) == safe_ln(linear(math.exp(a), math.exp(b), 0.3))
+    assert linear_logprob(float("-inf"), float("-inf"), 0.5) == float("-inf")
 
 
 def test_loglinear_endpoints_are_exact():
@@ -73,12 +86,13 @@ def test_grid_search_ties_resolve_to_smallest_weight():
 def test_tune_linear_matches_brute_force_rescan():
     # mixture of a sharp and a flat scorer; the oracle recomputes the same
     # perplexity curve with independent arithmetic
-    pair_lists = [
+    prob_lists = [
         [(0.5, 0.1), (0.02, 0.3), (0.2, 0.2)],
         [(0.01, 0.6), (0.7, 0.05)],
     ]
-    flat = [p for sent in pair_lists for p in sent]
-    best_lam, best_ppl, table = tune_linear(pair_lists)
+    flat = [p for sent in prob_lists for p in sent]
+    best_lam, best_ppl, table = tune_linear(
+        [[(math.log(a), math.log(b)) for a, b in sent] for sent in prob_lists])
     want = {}
     for lam in DEFAULT_GRID:
         total = sum(math.log((1 - lam) * a + lam * b) for a, b in flat)

@@ -19,6 +19,7 @@ from lmkit.models import SuRnnlm, UniRnnlm
 from lmkit.ngram import train_kn
 from lmkit.corpus import TokenizedCorpus
 from lmkit.synth import confusion_sausage, random_dag_lattice
+from oracles import future_window, step
 
 
 def diamond():
@@ -642,9 +643,9 @@ def test_two_stage_scorer_matches_manual_walk():
     total = 0.0
     h_u, h_s = uni.zero_state(), su.zero_state()
     for t in range(1, len(ids)):
-        du, h_u = uni.step(h_u, ids[t - 1])
-        win = tuple(ids[t + 1:t + 2]) or (vocab.pad,)
-        ds, h_s = su.step(h_s, ids[t - 1], win, 0.7)
+        du, h_u = step(uni, h_u, ids[t - 1])
+        win = future_window(vocab.pad, ids, t, 1)
+        ds, h_s = step(su, h_s, ids[t - 1], win, 0.7)
         total += two_stage(math.exp(ngram.logprob(ids[:t], ids[t])),
                            math.exp(uni.word_logprob_from_dist(du, ids[t])),
                            math.exp(su.word_logprob_from_dist(ds, ids[t])),
@@ -682,12 +683,11 @@ def _manual_walk(ngram, uni, su, cfg, alpha, words):
     h_s = su.zero_state() if su is not None else None
     total = 0.0
     for t in range(1, len(ids)):
-        du, h_u = uni.step(h_u, ids[t - 1])
+        du, h_u = step(uni, h_u, ids[t - 1])
         ds = None
         if su is not None:
-            win = tuple(ids[t + 1:t + 1 + su.k])
-            win += (vocab.pad,) * (su.k - len(win))
-            ds, h_s = su.step(h_s, ids[t - 1], win if su.k else None, alpha)
+            win = future_window(vocab.pad, ids, t, su.k)
+            ds, h_s = step(su, h_s, ids[t - 1], win if su.k else None, alpha)
 
         def comb(w):
             p_ng = math.exp(ngram.logprob(ids[:t], w))
@@ -727,6 +727,17 @@ def test_score_many_matches_per_hypothesis_and_manual_walk(which, normalize):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
         else:
             assert got == want
+
+
+def test_su_less_scorer_endpoints_give_each_model_own_scores():
+    # lambda1 0 and 1 reproduce the n-gram and the uni model bit for bit, as
+    # `ppl` does; a mix through exp and log would not
+    vocab, ngram, uni, _, _ = _scorer_setup()
+    seqs = [vocab.encode(words) for words in SCORER_HYPS]
+    at = {lam: make_two_stage_scorer(ngram, uni, None, InterpConfig(lambda1=lam)).word_scores(seqs)
+          for lam in (0.0, 1.0)}
+    assert at[0.0] == [ngram.sentence_word_logprobs(ids) for ids in seqs]
+    assert at[1.0] == uni.word_logprobs(seqs)
 
 
 @pytest.mark.parametrize("which", ["none", "su1", "su3"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lmkit import models, nn
-from lmkit.corpus import TokenizedCorpus, build_vocabulary, future_window
+from lmkit.corpus import TokenizedCorpus, build_vocabulary
 from lmkit.models import (BiRnnlm, Hyper, SuRnnlm, UniRnnlm, load_rnnlm,
                           smooth)
+from oracles import future_window, step
 
 TINY_LINES = ["c a b a", "a b c b a", "b c a", "a c b", "c b a b"]
 
@@ -40,7 +41,7 @@ def test_unidirectional_model_distributions_are_normalized():
     vocab, _ = tiny_setup(shortlist=2)
     model = UniRnnlm(vocab, hidden=8, embed=4, seed=1)
     h = model.zero_state()
-    dist, h = model.step(h, vocab.sent_begin)
+    dist, h = step(model, h, vocab.sent_begin)
     assert dist.shape == (vocab.output_size,)
     assert abs(dist.sum() - 1.0) < 1e-12
 
@@ -48,7 +49,7 @@ def test_unidirectional_model_distributions_are_normalized():
 def test_out_of_shortlist_mass_splits_uniformly():
     vocab, _ = tiny_setup(shortlist=1)
     model = UniRnnlm(vocab, hidden=8, embed=4, seed=1)
-    dist, _ = model.step(model.zero_state(), vocab.sent_begin)
+    dist, _ = step(model, model.zero_state(), vocab.sent_begin)
     oos_words = [i for i in range(len(vocab)) if vocab.is_oos(i)]
     slot = dist[vocab.shortlist_size]
     for w in oos_words:
@@ -142,11 +143,11 @@ def test_su_with_zero_future_words_equals_uni():
 def test_su_window_validation():
     vocab, _ = tiny_setup()
     su = SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=1)
-    h = su.zero_state()
+    h = su.advance(su.zero_state(), vocab.sent_begin)
     with pytest.raises(ValueError):
-        su.step(h, vocab.sent_begin, window=(vocab.pad,))
+        su.output_dist(h, window=(vocab.pad,))
     with pytest.raises(ValueError):
-        su.step(h, vocab.sent_begin, window=None)
+        su.output_dist(h, window=None)
 
 
 def test_bi_scores_every_position_from_both_contexts():
@@ -324,8 +325,8 @@ def test_trie_word_logprobs_match_step_walk(succ, dtype):
         want = []
         h = model.zero_state()
         for t in range(1, len(ids)):
-            win = future_window(vocab, ids, t, succ).ids if succ else None
-            dist, h = model.step(h, ids[t - 1], win, 0.7)
+            win = future_window(vocab.pad, ids, t, succ) if succ else None
+            dist, h = step(model, h, ids[t - 1], win, 0.7)
             want.append(model.word_logprob_from_dist(dist, ids[t]))
         assert lps == want
         assert model.sentence_word_logprobs(ids, 0.7) == want

@@ -114,12 +114,13 @@ def test_global_norm_hand_value():
 
 
 def test_clip_scales_only_above_threshold():
+    params = {"a": np.array([0.0]), "b": np.array([0.0])}
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    norm = nn.clip_global_norm(grads, 2.5)
+    norm = nn.sgd_step(params, grads, 1.0, clip=2.5)
     assert norm == 5.0
     assert grads["a"][0] == 1.5 and grads["b"][0] == 2.0
     before = {k: v.copy() for k, v in grads.items()}
-    nn.clip_global_norm(grads, 100.0)
+    nn.sgd_step(params, grads, 1.0, clip=100.0)
     for k in grads:
         assert np.array_equal(grads[k], before[k])
 
