@@ -42,28 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_text(path, text):
-    # write-then-rename so a failure never leaves a partial file
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _read_config(path):
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value" % (path, ln))
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ConfigError("%s:%d: empty key" % (path, ln))
-            pairs.append(("--" + key.replace("_", "-"), val.strip()))
+    for ln, raw in enumerate(corpus_mod.read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key=value" % (path, ln))
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ConfigError("%s:%d: empty key" % (path, ln))
+        pairs.append(("--" + key.replace("_", "-"), val.strip()))
     return pairs
 
 
@@ -159,8 +150,7 @@ def _hyper_from(args):
 
 
 def cmd_train(args):
-    with open(args.train, encoding="utf-8") as f:
-        lines = [line for line in f if line.strip()]
+    lines = [line for line in corpus_mod.read_text(args.train).split("\n") if line.strip()]
     if args.vocab:
         if args.shortlist is not None:
             raise UsageError("--shortlist conflicts with --vocab")
@@ -258,7 +248,7 @@ def cmd_ppl(args):
     if args.report:
         rows = ["sent %d %.6f" % (i, s)
                 for i, s in enumerate(report.per_sentence)]
-        _write_text(args.report, "\n".join(report.lines() + rows) + "\n")
+        corpus_mod.write_text(args.report, "\n".join(report.lines() + rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +327,10 @@ def cmd_rescore(args):
     refs = None
     if args.refs:
         refs = {}
-        with open(args.refs, encoding="utf-8") as f:
-            for raw in f:
-                parts = raw.split()
-                if parts:
-                    refs[parts[0]] = parts[1:]
+        for raw in corpus_mod.read_text(args.refs).split("\n"):
+            parts = raw.split()
+            if parts:
+                refs[parts[0]] = parts[1:]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
@@ -367,7 +356,7 @@ def cmd_rescore(args):
         for name, (words, text) in zip(names, results):
             utt = name[:-4]
             if args.out_dir:
-                _write_text(os.path.join(args.out_dir, name), text)
+                corpus_mod.write_text(os.path.join(args.out_dir, name), text)
             print("%s %s" % (utt, " ".join(words)))
             if refs is not None:
                 if utt not in refs:
@@ -436,9 +425,9 @@ def cmd_fixtures(args):
     train_lines = synth.build_corpus_lines(lang, args.seed, args.train_tokens)
     test_lines = synth.build_corpus_lines(lang, args.seed + 1,
                                           args.test_tokens)
-    _write_text(os.path.join(args.out, "train.txt"),
+    corpus_mod.write_text(os.path.join(args.out, "train.txt"),
                 "\n".join(train_lines) + "\n")
-    _write_text(os.path.join(args.out, "test.txt"),
+    corpus_mod.write_text(os.path.join(args.out, "test.txt"),
                 "\n".join(test_lines) + "\n")
     vocab = corpus_mod.build_vocabulary(train_lines, args.shortlist)
     vocab.save(os.path.join(args.out, "vocab.txt"))
@@ -454,7 +443,7 @@ def cmd_fixtures(args):
         lattice_mod.save_slf(utt.lattice, os.path.join(lat_dir,
                                                        utt.name + ".slf"))
         refs.append("%s %s" % (utt.name, " ".join(utt.ref)))
-    _write_text(os.path.join(args.out, "refs.txt"), "\n".join(refs) + "\n")
+    corpus_mod.write_text(os.path.join(args.out, "refs.txt"), "\n".join(refs) + "\n")
     print("wrote %d train / %d test sentences, %d-gram model, %d lattices"
           % (len(train_lines), len(test_lines), args.order, len(utts)))
 

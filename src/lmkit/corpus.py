@@ -1,6 +1,7 @@
 """Text corpora, vocabularies, and the batch layouts the trainers consume."""
 
 import collections
+import contextlib
 import math
 import os
 
@@ -34,6 +35,34 @@ class DataError(ValueError):
     def in_file(self, path):
         """The same error, naming the file it was read from."""
         return type(self)(self.detail, self.line, path)
+
+
+def read_text(path):
+    """The whole of a UTF-8 text file, newlines translated as in text mode.
+    A byte sequence that is not UTF-8 raises DataError naming the path and
+    the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        # read() decodes the whole file in one call, so e.start counts from
+        # its first byte
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise DataError("not UTF-8 text", line=line, path=path) from None
+
+
+def write_text(path, text):
+    """Write `text` as UTF-8 to a temporary file renamed over `path`, so a
+    failure leaves neither a partial file nor the temporary one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def bad_score(value):
@@ -114,16 +143,11 @@ class Vocabulary:
         return out
 
     def save(self, path):
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            for w in self.words:
-                fh.write(w + "\n")
-        os.replace(tmp, path)
+        write_text(path, "".join(w + "\n" for w in self.words))
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        words = [line for line in read_text(path).split("\n") if line]
         try:
             first = words.index(SENT_BEGIN)
         except ValueError:
@@ -175,8 +199,7 @@ class TokenizedCorpus:
 
     @classmethod
     def from_file(cls, vocab, path):
-        with open(path) as fh:
-            return cls.from_lines(vocab, fh)
+        return cls.from_lines(vocab, read_text(path).split("\n"))
 
 
 class SplicedBatch:

@@ -44,13 +44,12 @@ exactly what Lattice.finish would derive.
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import interpolate, models
-from .corpus import DataError, bad_score
+from .corpus import DataError, bad_score, read_text, write_text
 from .evaluate import ordered_sum
 
 NEG_INF = float("-inf")
@@ -258,8 +257,7 @@ def write_slf(lat):
 
 
 def load_slf(path):
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(path)
     try:
         return parse_slf(text)
     except LatticeError as e:
@@ -267,10 +265,7 @@ def load_slf(path):
 
 
 def save_slf(lat, path):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(write_slf(lat))
-    os.replace(tmp, path)
+    write_text(path, write_slf(lat))
 
 
 # ---- search ----
@@ -354,11 +349,8 @@ def nbest(lat, n, ac_scale=1.0, lm_scale=1.0):
 
 
 def write_nbest(hyps, path):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        for h in hyps:
-            f.write("%.6f\t%.6f\t%.6f\t%s\n" % (h.total, h.ac, h.lm, " ".join(h.words)))
-    os.replace(tmp, path)
+    write_text(path, "".join("%.6f\t%.6f\t%.6f\t%s\n" % (h.total, h.ac, h.lm, " ".join(h.words))
+                             for h in hyps))
 
 
 def read_nbest(path):
@@ -366,21 +358,19 @@ def read_nbest(path):
     scores, then the words.  NaN and +inf scores are rejected, -inf kept as
     in parse_slf; errors name the file and the line."""
     hyps = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise LatticeError("expected total, acoustic, lm, words", line_no, path)
-            try:
-                total, ac, lm = (float(p) for p in parts[:3])
-            except ValueError:
-                raise LatticeError("bad score field", line_no, path)
-            if any(map(bad_score, (total, ac, lm))):
-                raise LatticeError("score is not finite", line_no, path)
-            hyps.append(Hypothesis(parts[3].split(), (), ac, lm, total))
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise LatticeError("expected total, acoustic, lm, words", line_no, path)
+        try:
+            total, ac, lm = (float(p) for p in parts[:3])
+        except ValueError:
+            raise LatticeError("bad score field", line_no, path)
+        if any(map(bad_score, (total, ac, lm))):
+            raise LatticeError("score is not finite", line_no, path)
+        hyps.append(Hypothesis(parts[3].split(), (), ac, lm, total))
     return hyps
 
 

@@ -10,13 +10,14 @@ shortlist plus a single out-of-shortlist slot:
 
 They differ only in the recurrent part; the base `Rnnlm` holds the rest:
 construction, parameters, the container, the per-word lookup and sentence
-scores, the output layer with its loss and gradients, and `loss_and_grads`,
-`loss_only` and `_sgd_train` (plain SGD with global-norm clipping).  A
-subclass gives `word_logprobs(seqs, alpha)`, `_batches` (its training data)
-and `_updates` (the loss, tokens, gradients and rows of each update).  uni
-is su with k=0: `UniRnnlm` implements both, the future unit guarded by `k`,
-and `SuRnnlm` only sets k.  bi and su scores are unnormalized over
-sentences, so only per-word pseudo perplexity is meaningful for them.
+scores, the output layer with its loss and gradients, and `_sgd_train`
+(plain SGD with global-norm clipping).  A subclass gives
+`word_logprobs(seqs, alpha)`, `_batches` (its training data) and
+`_updates` (the loss, tokens and rows of each update, whose gradients it
+adds into a dict the caller owns).  uni is su with k=0: `UniRnnlm`
+implements both, the future unit guarded by `k`, and `SuRnnlm` only sets
+k.  bi and su scores are unnormalized over sentences, so only per-word
+pseudo perplexity is meaningful for them.
 Gradients are hand derived.  The benchmark's tracer wraps methods at their
 class's own attributes, so `UniRnnlm` and `BiRnnlm` keep `train` (a call
 into the base) and `word_logprob_from_dist` (the base's, bound again) as
@@ -38,11 +39,13 @@ order the step loop used.  The results have the bytes of the step-by-step
 pass written with GruCell.step and GruCell.backward.
 
 Every span takes its stacks from one nn.Workspace per training loop
-(`_sgd_train` across its epochs, `loss_and_grads`, `loss_only`), so the
-spans after the first write into memory already in use.  The loop drops
-the workspace when it returns: nothing is held between `train()` calls,
-and a copy of a model carries no buffers.  The state a span carries into
-the next is copied out of the workspace, which the next span overwrites.
+(`_sgd_train` across its epochs), so the spans after the first write into
+memory already in use, and every update adds its gradients into one dict
+the loop owns: `_sgd_train` zeroes it after each update, so each update's
+gradients start from zero.  The loop drops both when it returns: nothing
+is held between `train()` calls, and a copy of a model carries no
+buffers.  The state a span carries into the next is copied out of the
+workspace, which the next span overwrites.
 """
 
 import math
@@ -131,7 +134,8 @@ def prefix_tries(seqs, k, pad):
 class Rnnlm:
     """What every architecture shares; see the module docstring.  A subclass
     provides `word_logprobs(seqs, alpha)`, `_batches(corpus, num_streams)`
-    and `_updates(batches, ws, span, want_grads)`."""
+    and `_updates(batches, ws, grads, span)`, which adds each update's
+    gradients into `grads` (None: loss only)."""
 
     def _build(self, vocab, hidden, embed, seed, dtype, cells, k, future_hidden):
         """Draw the weights: the embedding, one GRU per name in `cells` (kept
@@ -194,14 +198,14 @@ class Rnnlm:
         return self.emb.take(ids, axis=0, mode="wrap",
                              out=ws.take(name, np.shape(ids) + (self.embed,), self.dtype))
 
-    def _output_loss(self, ctx, slots, mask, want_grads, ws, reverse=True):
+    def _output_loss(self, ctx, slots, mask, grads, ws, reverse=True):
         """Output layer, softmax and loss over a (T, S, C) stack of contexts;
         slots and mask (T, S) give each cell's target slot and whether it
         counts.  Each step's loss is summed over its rows, then the steps in
-        order, as a step loop would.  Returns (loss, tokens, grads, dctx):
-        fresh gradients holding the output layer's, its steps summed last
-        first when `reverse`, and the contexts' gradient, taken from
-        workspace `ws`; None, None without want_grads."""
+        order, as a step loop would.  Returns (loss, tokens, dctx).  With a
+        `grads` dict, the output layer's gradients are added into it, its
+        steps summed last first when `reverse`, and dctx is the contexts'
+        gradient, taken from workspace `ws`; without, dctx is None."""
         T, S = mask.shape
         dist = np.matmul(ctx, self.out_w.T,
                          out=ws.take("out.dist", (T, S, len(self.out_b)), self.dtype))
@@ -213,54 +217,35 @@ class Rnnlm:
         for step in steps:
             loss -= float(step)
         tokens = int(mask.sum())
-        if not want_grads:
-            return loss, tokens, None, None
+        if grads is None:
+            return loss, tokens, None
         dist[cells] -= 1.0
         dist[~mask] = 0.0
-        grads = nn.zeros_like_params(self.params())
         nn.add_span_grads(grads, "out.W", "out.b", dist, ctx, ws, reverse)
-        return loss, tokens, grads, np.matmul(
-            dist, self.out_w, out=ws.take("out.dctx", ctx.shape, self.dtype))
-
-    def loss_and_grads(self, corpus, num_streams=2):
-        """Total loss, tokens and gradients over one full-backprop pass; used
-        by the finite-difference checks."""
-        total_loss, total_tokens = 0.0, 0
-        grads = nn.zeros_like_params(self.params())
-        for loss, tokens, g, _ in self._updates(self._batches(corpus, num_streams),
-                                                nn.Workspace()):
-            total_loss += loss
-            total_tokens += tokens
-            for name in grads:
-                grads[name] += g[name]
-        return total_loss, total_tokens, grads
-
-    def loss_only(self, corpus, num_streams=2):
-        total = 0.0
-        for loss, _, _, _ in self._updates(self._batches(corpus, num_streams),
-                                           nn.Workspace(), want_grads=False):
-            total += loss
-        return total
+        return loss, tokens, np.matmul(dist, self.out_w,
+                                       out=ws.take("out.dctx", ctx.shape, self.dtype))
 
     def _sgd_train(self, corpus, hyper):
         """The epoch loop every architecture trains with.  Each epoch takes
-        the (loss, tokens, grads, rows) of `_updates` with span `hyper.bptt`;
-        the summed gradients are divided by the update's rows before the
-        clipped SGD step.  Every span of every epoch takes its stacks from
-        one workspace, dropped when training returns.  Returns per-epoch mean
+        the (loss, tokens, rows) of `_updates` with span `hyper.bptt`, the
+        update's gradients summed into the loop's one dict, which is divided
+        by the rows before the clipped SGD step and zeroed after it.  Every
+        span of every epoch takes its stacks from one workspace; the loop
+        drops it and the dict when it returns.  Returns per-epoch mean
         loss, the largest pre-clip gradient norm of each epoch and how many
         of its updates were clipped, token counts, and wall-clock words per
         second."""
         batches = self._batches(corpus, hyper.num_streams)
         ws = nn.Workspace()
         params = self.params()
+        grads = nn.zeros_like_params(params)
         history, norm_max, clipped = [], [], []
         total_tokens = 0
         t_start = time.perf_counter()
         lr = hyper.lr
         for _ in range(hyper.epochs):
             ep_loss, ep_tokens, ep_norm, ep_clipped = 0.0, 0, 0.0, 0
-            for loss, tokens, grads, rows in self._updates(batches, ws, hyper.bptt):
+            for loss, tokens, rows in self._updates(batches, ws, grads, hyper.bptt):
                 if not np.isfinite(loss):
                     raise nn.NumericError("non-finite training loss")
                 if tokens:
@@ -271,6 +256,8 @@ class Rnnlm:
                     ep_norm = max(ep_norm, norm)
                     if hyper.clip is not None and norm > hyper.clip:
                         ep_clipped += 1
+                for g in grads.values():
+                    g.fill(0.0)
                 ep_loss += loss
                 ep_tokens += tokens
             self.emb[self.vocab.pad] = 0.0
@@ -375,13 +362,7 @@ class UniRnnlm(Rnnlm):
 
     def _batches(self, corpus, num_streams):
         """Rectangles of the spliced streams: inputs, output slots, valid
-        and reset masks, and the future windows (None when k is 0).  The
-        last result is kept, read-only, because the finite-difference checks
-        call `loss_only` thousands of times on one corpus; a corpus is fixed
-        once built, so identity and stream count are the key."""
-        memo = getattr(self, "_spliced_memo", None)
-        if memo is not None and memo[0] is corpus and memo[1] == num_streams:
-            return memo[2]
+        and reset masks, and the future windows (None when k is 0)."""
         batch = make_spliced_batches(corpus, num_streams, future_k=self.k)
         v = self.vocab
         S = batch.num_streams
@@ -400,29 +381,26 @@ class UniRnnlm(Rnnlm):
         valid = (targets >= 0) & (targets != v.sent_begin)
         resets = inputs == v.sent_begin
         slots = np.where(valid, np.minimum(targets, v.shortlist_size), 0)
-        arrays = inputs, slots, valid, resets, windows
-        for arr in arrays:
-            if arr is not None:
-                arr.flags.writeable = False
-        self._spliced_memo = (corpus, num_streams, arrays)
-        return arrays
+        return inputs, slots, valid, resets, windows
 
-    def _updates(self, rects, ws, span=None, want_grads=True):
+    def _updates(self, rects, ws, grads=None, span=None):
         """One update per `span` steps of every stream (the whole width when
         None), the hidden state carried from span to span; the spans take
-        their stacks from workspace `ws`."""
+        their stacks from workspace `ws` and add their gradients into
+        `grads` (None: loss only)."""
         S, width = rects[0].shape
         span = span or width
         h = np.zeros((S, self.hidden), dtype=self.dtype)
         for t0 in range(0, width, span):
-            loss, tokens, grads, h = self._forward_backward(
-                *rects, t0, min(t0 + span, width), h, want_grads, ws)
-            yield loss, tokens, grads, S
+            loss, tokens, h = self._forward_backward(
+                *rects, t0, min(t0 + span, width), h, grads, ws)
+            yield loss, tokens, S
 
     def _forward_backward(self, inputs, slots, valid, resets, windows, t0, t1, h,
-                          want_grads=True, ws=nn.FRESH):
-        """Loss (and gradients) over steps [t0, t1) of the rectangles, starting
-        from hidden state rows `h`.  Returns (loss, tokens, grads, h_out).
+                          grads=None, ws=nn.FRESH):
+        """Loss over steps [t0, t1) of the rectangles, starting from hidden
+        state rows `h`, its gradients added into `grads` unless that is
+        None.  Returns (loss, tokens, h_out).
 
         The span runs as (T, S, .) stacks taken from Workspace `ws`
         (nn.FRESH: new arrays): the GRU recurrence is the only time loop
@@ -436,10 +414,10 @@ class UniRnnlm(Rnnlm):
                                         resets=resets[:, t0:t1].T, ws=ws)
         h_out = states[-1].copy()
         ctx, fcache = self._context_rows(states, win, ws)
-        loss, tokens, grads, dctx = self._output_loss(
-            ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, want_grads, ws)
-        if not want_grads:
-            return loss, tokens, None, h_out
+        loss, tokens, dctx = self._output_loss(
+            ctx, slots[:, t0:t1].T, valid[:, t0:t1].T, grads, ws)
+        if grads is None:
+            return loss, tokens, h_out
         dX = nn.gru_span_backward(self.gru, gru_cache, dctx[..., :self.hidden], grads)
         nn.add_rows_at(grads["emb"], ids, dX, ws)
         if self.k:
@@ -452,7 +430,7 @@ class UniRnnlm(Rnnlm):
             dwin = np.matmul(da, self.fut_w, out=ws.take("fut.dwin", flat.shape, self.dtype))
             nn.add_rows_at(grads["emb"], win, dwin, ws)
         grads["emb"][self.vocab.pad] = 0.0
-        return loss, tokens, grads, h_out
+        return loss, tokens, h_out
 
     def _context_rows(self, h_new, win_rows, ws=nn.FRESH):
         """Context rows [h, f] with f the future vector of each row's (k,)
@@ -549,27 +527,28 @@ class BiRnnlm(Rnnlm):
     def _batches(self, corpus, num_streams):
         return make_null_aligned_batches(corpus, num_streams)
 
-    def _updates(self, batches, ws, span=None, want_grads=True):
+    def _updates(self, batches, ws, grads=None, span=None):
         """One update per NULL-aligned batch of sentences, its stacks taken
-        from workspace `ws`.  bi backpropagates over whole sentences, so
-        `span` has no use here."""
+        from workspace `ws` and its gradients added into `grads` (None:
+        loss only).  bi backpropagates over whole sentences, so `span` has
+        no use here."""
         for batch in batches:
-            yield (*self.loss_and_grads_batch(batch, want_grads, ws), batch.num_rows)
+            yield (*self.loss_and_grads_batch(batch, grads, ws), batch.num_rows)
 
-    def loss_and_grads_batch(self, batch, want_grads=True, ws=nn.FRESH):
-        """Loss and gradients for one rectangle batch, NULL cells excluded.
-        Both GRUs run as spans (nn.gru_span); the output layer and its
-        gradients are one 3-d product each over positions 1..T-1, summed in
-        ascending position order as the step loop did.  The stacks come
-        from Workspace `ws` (nn.FRESH: new arrays)."""
+    def loss_and_grads_batch(self, batch, grads=None, ws=nn.FRESH):
+        """(loss, tokens) of one rectangle batch, NULL cells excluded, its
+        gradients added into `grads` unless that is None.  Both GRUs run
+        as spans (nn.gru_span); the output layer and its gradients are one
+        3-d product each over positions 1..T-1, summed in ascending position
+        order as the step loop did.  The stacks come from Workspace `ws`
+        (nn.FRESH: new arrays)."""
         rows, lengths = batch.rows, batch.lengths
         S, T = rows.shape
         ctx, mask, f_cache, b_cache = self._forward_rect(rows, lengths, ws)
         slots = np.minimum(rows, self.vocab.shortlist_size).T[1:]
-        loss, tokens, grads, dctx = self._output_loss(ctx, slots, mask, want_grads, ws,
-                                                      reverse=False)
-        if not want_grads:
-            return loss, tokens, None
+        loss, tokens, dctx = self._output_loss(ctx, slots, mask, grads, ws, reverse=False)
+        if grads is None:
+            return loss, tokens
         H = self.hidden
         # forward chain first, then backward chain, into each cell; each
         # chain's dX is added before the next backward pass reuses its stack
@@ -581,7 +560,7 @@ class BiRnnlm(Rnnlm):
         dx_cells[:, T - 1:1:-1] += dx_b.transpose(1, 0, 2)
         nn.add_rows_at(grads["emb"], rows, dx_cells, ws)
         grads["emb"][self.vocab.pad] = 0.0
-        return loss, tokens, grads
+        return loss, tokens
 
     def train(self, corpus, hyper):
         """SGD over NULL-aligned batches of `hyper.num_streams` sentences, one

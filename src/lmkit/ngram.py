@@ -14,9 +14,8 @@ natural logs.
 
 import collections
 import math
-import os
 
-from .corpus import SENT_BEGIN, DataError, bad_score
+from .corpus import SENT_BEGIN, DataError, bad_score, read_text, write_text
 from .evaluate import ordered_sum
 
 LN10 = math.log(10.0)
@@ -158,10 +157,7 @@ def save_arpa(model, path):
                 lines.append("%.7f\t%s\t%.7f" % (lp, text, bow))
     lines.append("")
     lines.append("\\end\\")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_arpa(path, vocab):
@@ -169,8 +165,7 @@ def load_arpa(path, vocab):
     the file and the offending line on malformed input.  NaN and +inf log
     probabilities and back-off weights are rejected; -inf is kept (a zero
     probability)."""
-    with open(path) as fh:
-        raw_lines = fh.read().splitlines()
+    raw_lines = read_text(path).splitlines()
     try:
         return _parse_arpa(raw_lines, vocab)
     except FormatError as e:

@@ -14,11 +14,14 @@ A training loop holds one Workspace, and every span-sized stack of its
 spans (inputs, gates, states, gradients, products) is a view written into
 it with `out=`; the loop drops it when it returns.  A call outside any
 loop takes FRESH, new arrays through the same `take`.  The arithmetic is
-that of freshly allocated arrays, so the bytes are too.
+that of freshly allocated arrays, so the bytes are too.  The weight
+gradients are not stacks: the backward passes add them into a dict keyed
+like `params` that the caller owns, one for the whole loop.
 
-sgd_step clips the gradients to a global norm in place before it updates
-the weights.  load_model returns a container's tensors only when they are
-all there and finite; anything else is a DataError naming the file."""
+sgd_step clips the gradients to a global norm and scales them by the
+learning rate in place, then subtracts them from the weights.
+load_model returns a container's tensors only when they are all there
+and finite; anything else is a DataError naming the file."""
 
 import json
 import math
@@ -363,14 +366,18 @@ def global_norm(grads):
 def sgd_step(params, grads, lr, clip=None):
     """In-place SGD update with optional global-norm clipping: when the
     global norm exceeds `clip`, every gradient is first scaled in place so
-    that it is `clip`.  Returns the global norm before clipping."""
+    that it is `clip`.  Each gradient is then scaled by `lr` in place and
+    subtracted, so `grads` holds the steps taken when it returns.  Returns
+    the global norm before clipping."""
     norm = global_norm(grads)
     if clip is not None and norm > clip:
         scale = clip / norm
         for g in grads.values():
             g *= scale
     for name, p in params.items():
-        p -= lr * grads[name]
+        g = grads[name]
+        g *= lr
+        p -= g
     return norm
 
 

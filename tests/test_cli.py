@@ -6,6 +6,7 @@ import io
 import math
 import os
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -258,6 +259,56 @@ def test_data_errors_name_the_file_and_line(ws, tmp_path):
                             "--jobs", jobs])
         assert code == 2, err
         assert err == "data error: %s: line %d: arc endpoint out of range\n" % (bad, line)
+
+
+def test_undecodable_text_inputs_exit_2(ws, tmp_path):
+    fx = ws / "fx"
+
+    def spoil(name, line):
+        # one byte that is no UTF-8 at the end of the given line
+        lines = (fx / name).read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    test, vocab, train = spoil("test.txt", 3), spoil("vocab.txt", 2), spoil("train.txt", 5)
+    cases = [
+        (["ppl", "--test", test, "--model", ws / "uni.model"], test, 3),
+        (["ppl", "--test", fx / "test.txt", "--arpa", fx / "baseline.arpa",
+          "--vocab", vocab], vocab, 2),
+        (["train", "--arch", "ngram", "--train", train, "--vocab", fx / "vocab.txt",
+          "--model-out", tmp_path / "tri.arpa"], train, 5),
+    ]
+    for argv, path, line in cases:
+        code, _, err = run(argv)
+        assert code == 2, err
+        assert err == "data error: %s: line %d: not UTF-8 text\n" % (path, line)
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
+    # the locale's encoding is ASCII here, so every text file lmkit reads
+    # or writes must name its encoding
+    lines = ["le café est chaud", "un café noir", "le thé est chaud", "un thé noir"]
+    (tmp_path / "train.txt").write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def lmkit(*argv):
+        done = subprocess.run([sys.executable, "-m", "lmkit.cli", *map(str, argv)],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        return done.stdout
+
+    lmkit("train", "--arch", "ngram", "--train", "train.txt", "--write-vocab", "v.txt",
+          "--order", 2, "--model-out", "m.arpa")
+    assert sorted(os.listdir(tmp_path)) == ["m.arpa", "train.txt", "v.txt"]
+    assert "café".encode("utf-8") in (tmp_path / "v.txt").read_bytes()
+    assert "café".encode("utf-8") in (tmp_path / "m.arpa").read_bytes()
+    argv = ["ppl", "--test", "train.txt", "--arpa", "m.arpa", "--vocab", "v.txt"]
+    monkeypatch.chdir(tmp_path)
+    assert lmkit(*argv).decode("ascii") == run_ok(argv)
 
 
 def test_rescore_expansion_budget_exits_2(ws, tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lmkit.corpus import (CorpusError, SPECIALS, TokenizedCorpus, Vocabulary,
+from lmkit.corpus import (CorpusError, DataError, SPECIALS, TokenizedCorpus, Vocabulary,
                           build_vocabulary, make_null_aligned_batches,
-                          make_spliced_batches)
+                          make_spliced_batches, read_text, write_text)
 from lmkit.models import PrefixTrie
 from oracles import future_window
 
@@ -162,3 +162,20 @@ def test_word_count_excludes_begin_token():
     v = build_vocabulary(LINES)
     corpus = TokenizedCorpus.from_lines(v, LINES)
     assert corpus.word_count == sum(len(l.split()) + 1 for l in LINES)
+
+
+def test_text_files_are_utf8_and_written_whole(tmp_path):
+    path = str(tmp_path / "v.txt")
+    write_text(path, "café\r\nthé\n")
+    assert (tmp_path / "v.txt").read_bytes() == "café\r\nthé\n".encode("utf-8")
+    # newlines translated as in text mode
+    assert read_text(path) == "café\nthé\n"
+    # a failed rename leaves the target and no temporary file
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        write_text(str(tmp_path / "taken"), "x\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "v.txt"]
+    # a truncated two-byte sequence on line 3
+    (tmp_path / "bad.txt").write_bytes(b"caf\xc3\xa9\n\nab\xc3\n")
+    with pytest.raises(DataError, match="line 3: not UTF-8 text"):
+        read_text(str(tmp_path / "bad.txt"))

