@@ -601,6 +601,11 @@ def _build_parser():
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
+    # stdout carries words, UTF-8 like every file lmkit writes, whatever
+    # the locale's encoding can hold; a redirected stream (a StringIO) has
+    # no encoding to set
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         argv = _apply_config(argv)
         args = _build_parser().parse_args(argv)

@@ -26,9 +26,14 @@ their own.
 uni and su score only through `advance` and `output_dist`, one state or a
 (B, H) stack whose row i has the bytes of the call on row i alone: per
 frontier in lattice rescoring, per depth of a `PrefixTrie` of up to
-`TRIE_SENTENCES` sentences.  bi scores one sentence at a time, through one
-workspace.  A word's log probability is `interpolate.safe_ln` of its
-output slot; `load_rnnlm` rejects non-finite weights, so no NaN reaches it.
+`TRIE_SENTENCES` sentences.  Their calls are small (a few rows each), so
+they go straight to numpy: `advance` is one nn.gru_step, whose cell takes
+both gates through one product per z/r block, and `output_dist` runs the
+future unit (the one `_context_rows` training uses, on new arrays), the
+output layer and `smooth` on (B, 1, .) row views, with no workspace.  bi
+scores one sentence at a time, through one workspace.  A word's log
+probability is `interpolate.safe_ln` of its output slot; `load_rnnlm`
+rejects non-finite weights, so no NaN reaches it.
 
 Training works a span at a time: a bptt span of the spliced streams (uni,
 su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
@@ -36,7 +41,8 @@ Only the GRU recurrence loops over time (nn.gru_span); the future unit,
 the output layer, softmax and loss, and every weight gradient are stacked
 products over the span, one gemm per step inside each, summed in the
 order the step loop used.  The results have the bytes of the step-by-step
-pass written with GruCell.step and GruCell.backward.
+pass written with the per-gate GRU step of tests/oracles.py and
+GruCell.backward.
 
 Every span takes its stacks from one nn.Workspace per training loop
 (`_sgd_train` across its epochs), so the spans after the first write into
@@ -322,25 +328,27 @@ class UniRnnlm(Rnnlm):
         """Consume one word id, returning the next hidden state.  A stack of
         states (B, H) with B word ids gives the B next states; row i equals
         the call on row i alone."""
-        return nn.gru_step(self.gru, self.emb[prev_id], h)
-
-    def output_logits(self, h, window=None):
-        """Output activations from state h and, when k > 0, the k succeeding
-        word ids in `window`.  A stack of states (B, H) takes a (B, k) stack
-        of windows, and row i equals the call on row i alone."""
-        stacked = h.ndim > 1
-        if stacked:
-            # (B, 1, .) row views, so every product is one per row
-            h = nn.row_views(h)
-            if window is not None:
-                window = np.asarray(window)[:, None]
-        ctx, _ = self._context_rows(h, window)
-        logits = ctx @ self.out_w.T + self.out_b
-        return logits[:, 0] if stacked else logits
+        # take, not fancy indexing: the same rows at a third of the call cost
+        return nn.gru_step(self.gru, self.emb.take(prev_id, axis=0), h)
 
     def output_dist(self, h, window=None, alpha=1.0):
-        """Smoothed output distribution; stacks as in output_logits."""
-        return smooth(self.output_logits(h, window), alpha)
+        """Smoothed output distribution from state h and, when k > 0, the k
+        succeeding word ids in `window`.  A stack of states (B, H) takes a
+        (B, k) stack of windows, and row i equals the call on row i alone."""
+        rows = h.ndim > 1
+        if rows:
+            # (B, 1, .) row views, so every product is one per row
+            h = h[:, None]
+        if self.k:
+            window = np.asarray(window)
+            if rows and window.ndim == 2:
+                # (B, 1, k); any other shape fails _context_rows' check
+                window = window[:, None]
+            h, _ = self._context_rows(h, window)
+        logits = h @ self.out_w.T
+        logits += self.out_b
+        dist = smooth(logits, alpha)
+        return dist[:, 0] if rows else dist
 
     # an own attribute for the tracer; see the module docstring
     word_logprob_from_dist = Rnnlm.word_logprob_from_dist
@@ -422,34 +430,41 @@ class UniRnnlm(Rnnlm):
         nn.add_rows_at(grads["emb"], ids, dX, ws)
         if self.k:
             flat, f = fcache
-            # dctx * (1 - f*f), in place as in _context_rows
-            da = np.multiply(f, f, out=ws.take("fut.da", f.shape, self.dtype))
+            # dctx * (1 - f*f), in place as in _context_rows; da takes the
+            # pre-activation stack, dead since tanh read it, and dwin the
+            # window embeddings' stack, dead once fut.W's gradient read it
+            da = np.multiply(f, f, out=ws.take("fut.pre", f.shape, self.dtype))
             np.subtract(1.0, da, out=da)
             da *= dctx[..., self.hidden:]
             nn.add_span_grads(grads, "fut.W", "fut.b", da, flat, ws)
-            dwin = np.matmul(da, self.fut_w, out=ws.take("fut.dwin", flat.shape, self.dtype))
+            dwin = np.matmul(da, self.fut_w, out=ws.take("fut.window", flat.shape, self.dtype))
             nn.add_rows_at(grads["emb"], win, dwin, ws)
         grads["emb"][self.vocab.pad] = 0.0
         return loss, tokens, h_out
 
-    def _context_rows(self, h_new, win_rows, ws=nn.FRESH):
+    def _context_rows(self, h_new, win_rows, ws=None):
         """Context rows [h, f] with f the future vector of each row's (k,)
         window: h_new (..., H) takes windows (..., k), for one state, a
         stack of row views (B, 1, H) or a training span (T, B, H).  Also
         returns what the backward pass needs.  The rows are built in
-        Workspace `ws` (nn.FRESH: new arrays, as the scorers take them)."""
+        Workspace `ws`, or in new arrays when it is None (the scorers)."""
         if not self.k:
             return h_new, None
-        win_rows = np.asarray(win_rows)
         lead = h_new.shape[:-1]
         if win_rows.shape != lead + (self.k,):
             raise ValueError("need %d succeeding word ids per row" % self.k)
-        flat = self._embed(win_rows, ws, "fut.window").reshape(lead + (self.k * self.embed,))
-        # built in the workspace: h copied in, f written by tanh in place
-        ctx = ws.take("fut.ctx", lead + (self.hidden + self.future_hidden,), self.dtype)
+        width = (self.hidden + self.future_hidden,)
+        if ws is None:
+            flat = self.emb.take(win_rows, axis=0)
+            ctx, pre = np.empty(lead + width, self.dtype), None
+        else:
+            flat = self._embed(win_rows, ws, "fut.window")
+            ctx = ws.take("fut.ctx", lead + width, self.dtype)
+            pre = ws.take("fut.pre", lead + (self.future_hidden,), self.dtype)
+        flat = flat.reshape(lead + (self.k * self.embed,))
+        # h copied in, f written by tanh in place
         ctx[..., :self.hidden] = h_new
-        pre = np.matmul(flat, self.fut_w.T,
-                        out=ws.take("fut.pre", lead + (self.future_hidden,), self.dtype))
+        pre = np.matmul(flat, self.fut_w.T, out=pre)
         pre += self.fut_b
         f = np.tanh(pre, out=ctx[..., self.hidden:])
         return ctx, (flat, f)

@@ -1,14 +1,17 @@
 """Dense kernels shared by the recurrent models: GRU cell, stable softmax,
 clipped SGD, and the binary model container.
 
-The GRU comes twice.  GruCell.step does one step, which the scorers take
-through gru_step's row views, and GruCell.backward is its backward pass,
-kept as the reference the training kernels are tested against.  gru_span and
-gru_span_backward run the training spans: the input products, the weight
-gradients and dx are stacked products over the whole span (span_inputs,
-span_grads), and only the U products and the gate arithmetic stay in the
-time loop.  Both give the same bytes: a stacked product is one gemm per
-step, and the span sums run in step order.
+The GRU comes twice.  GruCell keeps its z and r gates as one block per
+weight (see its docstring).  GruCell.step is the row-exact scoring step,
+which the scorers take through gru_step's row views: one product per
+block gives both gates.  GruCell.backward is the backward pass of one
+step.  gru_span and gru_span_backward run the training spans: the input
+products, the weight gradients and dx are stacked products over the whole
+span (span_inputs, span_grads), and only the U products and the gate
+arithmetic stay in the time loop.  They give the bytes of the per-gate
+step (tests/oracles.py) run step by step: a stacked product is one gemm
+per step and gate, and the span sums run in step order.  On a 2-d stack
+the fused products of `step` can round differently.
 
 A training loop holds one Workspace, and every span-sized stack of its
 spans (inputs, gates, states, gradients, products) is a view written into
@@ -67,39 +70,64 @@ class GruCell:
     r = sig(Wr x + Ur h + br)
     c = tanh(Wh x + Uh (r * h) + bh)
     h' = (1 - z) * h + z * c
-    """
+
+    The z and r gates are stored as one block each: Wzr (2H, D), Uzr (2H, H)
+    and bzr (2H,) hold the z rows above the r rows.  Wh, Uh and bh are
+    arrays of their own.  `p` and `params()` name the nine per-gate weights
+    as views of these arrays, built on every call and held nowhere, so a
+    deep copy of a cell copies the blocks and its views cannot come apart
+    from them.  The per-gate step the training kernels are tested against
+    is in tests/oracles.py."""
 
     def __init__(self, input_size, hidden_size, rng, dtype=np.float64, prefix="gru"):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.prefix = prefix
-        p = {}
-        for gate in ("z", "r", "h"):
-            p["W" + gate] = uniform_init(rng, (hidden_size, input_size), dtype=dtype)
-            p["U" + gate] = uniform_init(rng, (hidden_size, hidden_size), dtype=dtype)
-            p["b" + gate] = uniform_init(rng, (hidden_size,), dtype=dtype)
-        self.p = p
+        H = hidden_size
+        self.Wzr = np.empty((2 * H, input_size), dtype=dtype)
+        self.Uzr = np.empty((2 * H, H), dtype=dtype)
+        self.bzr = np.empty(2 * H, dtype=dtype)
+        # the draws keep the per-gate order, so equal seeds give equal weights
+        for rows in (slice(None, H), slice(H, None)):
+            self.Wzr[rows] = uniform_init(rng, (H, input_size), dtype=dtype)
+            self.Uzr[rows] = uniform_init(rng, (H, H), dtype=dtype)
+            self.bzr[rows] = uniform_init(rng, (H,), dtype=dtype)
+        self.Wh = uniform_init(rng, (H, input_size), dtype=dtype)
+        self.Uh = uniform_init(rng, (H, H), dtype=dtype)
+        self.bh = uniform_init(rng, (H,), dtype=dtype)
+
+    @property
+    def p(self):
+        H = self.hidden_size
+        return {"Wz": self.Wzr[:H], "Uz": self.Uzr[:H], "bz": self.bzr[:H],
+                "Wr": self.Wzr[H:], "Ur": self.Uzr[H:], "br": self.bzr[H:],
+                "Wh": self.Wh, "Uh": self.Uh, "bh": self.bh}
 
     def params(self):
         return {"%s.%s" % (self.prefix, k): v for k, v in self.p.items()}
 
     def step(self, x, h_prev):
-        """One step over a batch: x (B, D), h_prev (B, H).  Returns h and the
-        intermediates `backward` needs.  The equations act on the last axis,
-        so one row (1-d) or a stack of row_views works the same way."""
-        p = self.p
-        # one sigmoid call for both gates: it is elementwise, so each gate
-        # gets exactly the values of its own call
-        zr = sigmoid(np.concatenate(
-            [x @ p["Wz"].T + h_prev @ p["Uz"].T + p["bz"],
-             x @ p["Wr"].T + h_prev @ p["Ur"].T + p["br"]], axis=-1))
-        z = zr[..., :self.hidden_size]
-        r = zr[..., self.hidden_size:]
+        """One step: x (D,) and h_prev (H,), or stacks whose last axis holds
+        them.  Returns h and the intermediates `backward` needs.  Both gates
+        take one product with each block's transposed view and one sigmoid.
+        On one row, or on a stack of row_views, each row's products are
+        vector-matrix products of their own, so a row has the same bytes in
+        any stack; gru_step takes the scorers' calls that way."""
+        H = self.hidden_size
+        zr = x @ self.Wzr.T
+        zr += h_prev @ self.Uzr.T
+        zr += self.bzr
+        zr = sigmoid(zr)
+        z = zr[..., :H]
+        r = zr[..., H:]
         rh = r * h_prev
-        c = np.tanh(x @ p["Wh"].T + rh @ p["Uh"].T + p["bh"])
-        h = (1.0 - z) * h_prev + z * c
-        cache = (x, h_prev, z, r, rh, c)
-        return h, cache
+        c = x @ self.Wh.T
+        c += rh @ self.Uh.T
+        c += self.bh
+        np.tanh(c, out=c)
+        h = (1.0 - z) * h_prev
+        h += z * c
+        return h, (x, h_prev, z, r, rh, c)
 
     def backward(self, cache, dh, grads):
         """Backprop one step.  `dh` is dL/dh'.  Gate gradients accumulate into
@@ -168,22 +196,22 @@ class _FreshArrays:
 FRESH = _FreshArrays()
 
 
-def _zr_stack(a, b):
-    """(2, K, H) stack of a.T and b.T as transposed views, so each slice's
-    product takes the BLAS path of `x @ a.T` in `step`."""
-    return np.stack([a, b]).transpose(0, 2, 1)
+def _zr_stack(block):
+    """A (2H, K) gate block viewed as the (2, K, H) stack of Wz.T and Wr.T
+    (Uz.T and Ur.T), with the strides of np.stack([Wz, Wr]).transpose(0, 2,
+    1): each slice's product takes the BLAS path of `x @ Wz.T`."""
+    return block.reshape(2, -1, block.shape[1]).transpose(0, 2, 1)
 
 
 def span_inputs(cell, X, out_zr, out_h):
-    """The input products of `step` for a whole span: X (T, S, D) holds the
-    inputs of T steps on S rows.  Writes the z and r products into out_zr
-    (T, 2, S, H) and the candidate's into out_h (T, S, H).  A stacked
+    """The input products of the per-gate step for a whole span: X (T, S, D)
+    holds the inputs of T steps on S rows.  Writes the z and r products into
+    out_zr (T, 2, S, H) and the candidate's into out_h (T, S, H).  A stacked
     product runs one gemm per step and gate, so each slice has the bytes of
     that step's own product; flattened to (T*S, D) rows, BLAS would block
     rows of different steps together and round them differently."""
-    p = cell.p
-    np.matmul(X[:, None], _zr_stack(p["Wz"], p["Wr"]), out=out_zr)
-    np.matmul(X, p["Wh"].T, out=out_h)
+    np.matmul(X[:, None], _zr_stack(cell.Wzr), out=out_zr)
+    np.matmul(X, cell.Wh.T, out=out_h)
 
 
 def gru_span(cell, X, h, resets=None, keep=None, ws=FRESH):
@@ -192,22 +220,23 @@ def gru_span(cell, X, h, resets=None, keep=None, ws=FRESH):
     step t, keep (T, S, 1) rows whose state advances at step t while the
     others carry theirs over.  The input products run once over the span
     and only the U products and the gate arithmetic stay in the time loop.
-    Returns the (T, S, H) states after each step, with the bytes of `step`
-    run step by step, and the cache gru_span_backward takes.
+    Returns the (T, S, H) states after each step, with the bytes of the
+    per-gate step run step by step, and the cache gru_span_backward takes.
+    The gate products are stacked views of the cell's z/r blocks, one
+    product per gate.
 
     The stacks come from Workspace `ws` (FRESH: new arrays).  Those the
     backward pass reads are kept under the cell's prefix, so the states are
     valid only until the next span of the same cell in that workspace."""
-    p = cell.p
     T, S = X.shape[:2]
     H, name = cell.hidden_size, cell.prefix
     ZR = ws.take(name + ".ZR", (T, 2, S, H), X.dtype)
     RH, C, Hout = (ws.take(name + part, (T, S, H), X.dtype) for part in (".RH", ".C", ".H"))
     # each step's gates and candidates overwrite its input products
     span_inputs(cell, X, ZR, C)
-    U_zr = _zr_stack(p["Uz"], p["Ur"])
-    b_zr = np.stack([p["bz"], p["br"]])[:, None]
-    UhT, bh = p["Uh"].T, p["bh"]
+    U_zr = _zr_stack(cell.Uzr)
+    b_zr = cell.bzr.reshape(2, 1, H)
+    UhT, bh = cell.Uh.T, cell.bh
     reset_rows = [()] * T if resets is None else [np.flatnonzero(r) for r in resets]
     drop = None if keep is None else ~keep
     h0 = h
@@ -215,7 +244,8 @@ def gru_span(cell, X, h, resets=None, keep=None, ws=FRESH):
         if len(reset_rows[t]):
             h = h.copy()
             h[reset_rows[t]] = 0.0
-        # (x Wz + h Uz) + bz as in `step`: a sum of two terms commutes
+        # (x Wz + h Uz) + bz as in the per-gate step: a sum of two terms
+        # commutes
         pre = h @ U_zr
         pre += ZR[t]
         pre += b_zr
@@ -300,7 +330,9 @@ def span_grads(cell, X, Hprev, RH, Dz, Dr, Dc, grads, ws):
         add_span_grads(grads, pre + "U" + gate, None, D, Hin, ws)
     # Dc Wh + Dz Wz + Dr Wr, added left to right
     dX = np.matmul(Dc, p["Wh"], out=ws.take("span.dX", X.shape, X.dtype))
-    term = ws.take("span_grads.term", X.shape, X.dtype)
+    # the state stack is read only by the weight gradients above, so each
+    # term of dX is written into it
+    term = ws.take("span.Hprev", X.shape, X.dtype)
     dX += np.matmul(Dz, p["Wz"], out=term)
     dX += np.matmul(Dr, p["Wr"], out=term)
     return dX

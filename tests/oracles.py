@@ -1,9 +1,12 @@
 """Reference walks the tests compare the library against.
 
 The library scores and trains through stacked calls; these are the plain
-one-position forms those calls must reproduce, and the whole-corpus pass
-the finite-difference checks differentiate.
+one-position forms those calls must reproduce, the per-gate GRU step the
+training kernels must reproduce, and the whole-corpus pass the
+finite-difference checks differentiate.
 """
+
+import numpy as np
 
 from lmkit import nn
 
@@ -13,6 +16,26 @@ def future_window(pad, ids, t, k):
     end."""
     win = tuple(ids[t + 1:t + 1 + k])
     return win + (pad,) * (k - len(win))
+
+
+def gru_step(cell, x, h_prev):
+    """The per-gate GRU step: x (..., D) and h_prev (..., H) give h and the
+    cache `nn.GruCell.backward` takes.  Each gate takes its own input and
+    state products with the per-gate views of `cell.p`, six products in
+    all.  nn.gru_span run over a span has the bytes of this step run step
+    by step, on 2-d stacks too, where the fused (2H)-wide products of
+    `nn.GruCell.step` can round differently."""
+    p = cell.p
+    H = cell.hidden_size
+    zr = nn.sigmoid(np.concatenate(
+        [x @ p["Wz"].T + h_prev @ p["Uz"].T + p["bz"],
+         x @ p["Wr"].T + h_prev @ p["Ur"].T + p["br"]], axis=-1))
+    z = zr[..., :H]
+    r = zr[..., H:]
+    rh = r * h_prev
+    c = np.tanh(x @ p["Wh"].T + rh @ p["Uh"].T + p["bh"])
+    h = (1.0 - z) * h_prev + z * c
+    return h, (x, h_prev, z, r, rh, c)
 
 
 def step(model, h, prev_id, window=None, alpha=1.0):

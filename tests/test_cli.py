@@ -286,21 +286,29 @@ def test_undecodable_text_inputs_exit_2(ws, tmp_path):
         assert err == "data error: %s: line %d: not UTF-8 text\n" % (path, line)
 
 
-def test_text_files_are_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
-    # the locale's encoding is ASCII here, so every text file lmkit reads
-    # or writes must name its encoding
-    lines = ["le café est chaud", "un café noir", "le thé est chaud", "un thé noir"]
-    (tmp_path / "train.txt").write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+def _ascii_locale_lmkit(cwd):
+    """Run lmkit in a subprocess whose locale encoding is ASCII, in `cwd`;
+    returns its stdout bytes and asserts exit 0."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
     env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
     def lmkit(*argv):
         done = subprocess.run([sys.executable, "-m", "lmkit.cli", *map(str, argv)],
-                              cwd=tmp_path, env=env, capture_output=True)
+                              cwd=cwd, env=env, capture_output=True)
         assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
         return done.stdout
+    return lmkit
 
+
+CAFE_LINES = ["le café est chaud", "un café noir", "le thé est chaud", "un thé noir"]
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
+    # the locale's encoding is ASCII here, so every text file lmkit reads
+    # or writes must name its encoding
+    (tmp_path / "train.txt").write_bytes("\n".join(CAFE_LINES).encode("utf-8") + b"\n")
+    lmkit = _ascii_locale_lmkit(tmp_path)
     lmkit("train", "--arch", "ngram", "--train", "train.txt", "--write-vocab", "v.txt",
           "--order", 2, "--model-out", "m.arpa")
     assert sorted(os.listdir(tmp_path)) == ["m.arpa", "train.txt", "v.txt"]
@@ -309,6 +317,29 @@ def test_text_files_are_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
     argv = ["ppl", "--test", "train.txt", "--arpa", "m.arpa", "--vocab", "v.txt"]
     monkeypatch.chdir(tmp_path)
     assert lmkit(*argv).decode("ascii") == run_ok(argv)
+
+
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
+    # nbest and rescore print hypothesis words; under an ASCII locale the
+    # print of a non-ASCII word must not fail after the files are written
+    (tmp_path / "train.txt").write_bytes("\n".join(CAFE_LINES).encode("utf-8") + b"\n")
+    lat = lattice.Lattice([lattice.Node(i, 0.5 * i) for i in range(3)],
+                          [lattice.Arc(0, 0, 1, "un", -1.0, -0.5),
+                           lattice.Arc(1, 1, 2, "café", -0.5, -0.5),
+                           lattice.Arc(2, 1, 2, "thé", -2.0, -1.5)]).finish()
+    (tmp_path / "lat").mkdir()
+    lattice.save_slf(lat, str(tmp_path / "lat" / "x.slf"))
+    monkeypatch.chdir(tmp_path)
+    run_ok(["train", "--arch", "uni", "--train", "train.txt", "--write-vocab", "v.txt",
+            "--hidden", 4, "--embed", 4, "--epochs", 1, "--streams", 2,
+            "--model-out", "u.model"])
+    lmkit = _ascii_locale_lmkit(tmp_path)
+    for argv in (["nbest", "--lattice", "lat/x.slf", "--n", 1, "--out", "o.txt"],
+                 ["rescore", "--lattices", "lat", "--model", "u.model", "--out-dir", "out"]):
+        out = lmkit(*argv).decode("utf-8")
+        assert "café" in out
+        assert out == run_ok(argv)
+    assert "café".encode("utf-8") in (tmp_path / "o.txt").read_bytes()
 
 
 def test_rescore_expansion_budget_exits_2(ws, tmp_path, monkeypatch):

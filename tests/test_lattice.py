@@ -561,6 +561,34 @@ def test_frontier_batching_needs_fewer_model_calls_than_nodes():
     assert cache.h_hits > 0 and cache.dist_hits > 0
 
 
+# sizes where the fused gate products of nn.GruCell.step can round unlike
+# per-gate ones: which rows a call stacks, set here by what the cache holds,
+# must still not matter
+@pytest.mark.parametrize("hidden,embed,dtype", [(33, 17, np.float64), (7, 5, np.float32),
+                                                (4, 3, np.float32)])
+def test_odd_size_models_rescore_alike_cached_and_uncached(hidden, embed, dtype):
+    vocab = _scorer_setup()[0]
+    rng = random.Random(74)
+    lats = [_dense_network(rng, SHORTLIST_WORDS, rng.randint(3, 5)) for _ in range(4)]
+    lats += [random_dag_lattice(rng, SHORTLIST_WORDS) for _ in range(4)]
+    for model in (UniRnnlm(vocab, hidden, embed, seed=75, dtype=dtype),
+                  SuRnnlm(vocab, hidden, embed, succ=3, seed=76, dtype=dtype)):
+        entry = rescore_lattice_su if model.k else rescore_lattice_uni
+
+        def rescored(lat, cache):
+            # the text, and every arc's LM score in full: a last-bit move
+            # rarely reaches the six printed decimals
+            out = entry(lat, model, cache=cache)
+            return write_slf(out), [a.lm for a in out.arcs]
+
+        for i, lat in enumerate(lats):
+            cache = ProbCache()
+            for other in lats[:i] + lats[i + 1:]:
+                rescored(other, cache)
+            assert rescored(lat, cache) == rescored(lat, None)
+            assert cache.h_hits > 0 and cache.dist_hits > 0
+
+
 def test_bounded_cache_drops_between_lattices_and_keeps_counting(monkeypatch):
     # with a small bound the cache drops its entries many times; a drop
     # happens only at a lattice boundary, so the texts stay the uncached

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from lmkit import models, nn
 from lmkit.corpus import TokenizedCorpus, build_vocabulary
 from lmkit.models import (BiRnnlm, Hyper, SuRnnlm, UniRnnlm, load_rnnlm,
                           smooth)
-from oracles import full_pass, future_window, step
+from oracles import full_pass, future_window, gru_step, step
 
 TINY_LINES = ["c a b a", "a b c b a", "b c a", "a c b", "c b a b"]
 
@@ -224,6 +225,39 @@ def test_save_load_round_trip_preserves_scores(tmp_path):
             assert np.array_equal(p[k], q[k])
 
 
+@pytest.mark.parametrize("arch", ["uni", "su2"])
+def test_a_deep_copy_trains_on_its_own_gate_blocks(tmp_path, arch):
+    # the per-gate parameters are views made on each call, so a deep copy
+    # copies the blocks once and trains them through its own views
+    vocab, corpus = tiny_setup(shortlist=2)
+    model = (SuRnnlm(vocab, 8, 4, succ=2, seed=16) if arch == "su2"
+             else UniRnnlm(vocab, 8, 4, seed=16))
+    before = {k: v.copy() for k, v in model.params().items()}
+    twin = copy.deepcopy(model)
+    twin.train(corpus, Hyper(epochs=1, num_streams=2))
+    cell = twin.gru
+    for name, view in cell.params().items():
+        kind, gate = name.split(".")[1]
+        owner = getattr(cell, kind + "zr" if gate in "zr" else kind + "h")
+        assert np.shares_memory(view, owner), name
+        assert not np.shares_memory(view, model.gru.params()[name]), name
+    for name, arr in model.params().items():
+        assert arr.tobytes() == before[name].tobytes(), name
+    assert any(arr.tobytes() != before[name].tobytes() for name, arr in twin.params().items())
+    path = str(tmp_path / "twin.bin")
+    twin.save(path)
+    back = load_rnnlm(path)
+    rng = np.random.default_rng(17)
+    h = rng.uniform(-1.0, 1.0, size=(5, 8))
+    ids = rng.integers(0, len(vocab), size=5)
+    windows = rng.integers(0, len(vocab), size=(5, twin.k))
+    for state, word, window in [(h, ids, windows)] + list(zip(h, ids, windows)):
+        assert twin.advance(state, word).tobytes() == back.advance(state, word).tobytes()
+        window = window if twin.k else None
+        assert (twin.output_dist(state, window, 0.7).tobytes()
+                == back.output_dist(state, window, 0.7).tobytes())
+
+
 def test_diverged_training_raises_numeric_error():
     vocab, corpus = tiny_setup()
     model = UniRnnlm(vocab, hidden=8, embed=4, seed=1)
@@ -347,7 +381,7 @@ def _reference_loss(model, corpus, streams=2):
     for t in range(T):
         h = h.copy()
         h[resets[:, t]] = 0.0
-        h, _ = model.gru.step(model.emb[inputs[:, t]], h)
+        h, _ = gru_step(model.gru, model.emb[inputs[:, t]], h)
         ctx = h
         if model.k:
             flat = model.emb[windows[:, t]].reshape(S, model.k * model.embed)

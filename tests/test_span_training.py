@@ -2,8 +2,8 @@
 
 The trainers run each bptt span (uni, su) or sentence batch (bi) as stacks:
 only the GRU recurrence loops over time.  Every number must keep the bytes
-of the step-by-step pass, written out here with GruCell.step and
-GruCell.backward.  The sizes are the benchmark's (16 rows, 24-wide
+of the step-by-step pass, written out here with the per-gate step of
+tests/oracles.py and GruCell.backward.  The sizes are the benchmark's (16 rows, 24-wide
 embeddings, 48-wide states), where a (T*S)-row product or a reordered sum
 rounds differently from the per-step products.
 """
@@ -18,6 +18,7 @@ from lmkit import nn
 from lmkit.corpus import TokenizedCorpus, build_vocabulary, make_null_aligned_batches
 from lmkit.models import BiRnnlm, Hyper, SuRnnlm, UniRnnlm
 from lmkit.synth import SyntheticLanguage, build_corpus_lines
+from oracles import gru_step
 
 S, E, H = 16, 24, 48
 DTYPES = [np.float64, np.float32]
@@ -40,7 +41,7 @@ def _stepwise(cell, X, h, dH, resets=None, keep=None):
         if resets is not None:
             h = h.copy()
             h[resets[t]] = 0.0
-        h_new, cache = cell.step(X[t], h)
+        h_new, cache = gru_step(cell, X[t], h)
         if keep is not None:
             h_new = np.where(keep[t], h_new, h)
         caches.append(cache)
@@ -92,7 +93,7 @@ def test_gru_span_matches_step_and_backward(mode, dtype, width):
 
 def _reference_forward_backward(model, inputs, slots, valid, resets, windows, t0, t1, h):
     """UniRnnlm._forward_backward one step at a time: the GRU through
-    GruCell.step and GruCell.backward, the future unit, output layer,
+    the per-gate step and GruCell.backward, the future unit, output layer,
     softmax and loss per step."""
     rows = np.arange(inputs.shape[0])
     hid = model.hidden
@@ -100,7 +101,7 @@ def _reference_forward_backward(model, inputs, slots, valid, resets, windows, t0
     for t in range(t0, t1):
         h = h.copy()
         h[resets[:, t]] = 0.0
-        h, cache = model.gru.step(model.emb[inputs[:, t]], h)
+        h, cache = gru_step(model.gru, model.emb[inputs[:, t]], h)
         ctx, flat, f = h, None, None
         if model.k:
             flat = model.emb[windows[:, t]].reshape(len(rows), -1)
@@ -149,13 +150,13 @@ def _reference_bi_batch(model, batch):
     zeros = np.zeros((n, model.hidden), dtype=model.dtype)
     fwd, f_caches, h = [zeros], [], zeros
     for t in range(T - 1):
-        h_new, cache = model.gru_f.step(emb[:, t], h)
+        h_new, cache = gru_step(model.gru_f, emb[:, t], h)
         h = np.where((t < lengths - 1)[:, None], h_new, h)
         fwd.append(h)
         f_caches.append(cache)
     bwd, b_caches, b = {T - 1: zeros}, {}, zeros
     for t in range(T - 1, 1, -1):
-        b_new, b_caches[t] = model.gru_b.step(emb[:, t], b)
+        b_new, b_caches[t] = gru_step(model.gru_b, emb[:, t], b)
         b = np.where((t <= lengths - 1)[:, None], b_new, b)
         bwd[t - 1] = b
     grads = nn.zeros_like_params(model.params())
