@@ -150,6 +150,8 @@ def _hyper_from(args):
 
 
 def cmd_train(args):
+    if args.bptt is not None and args.bptt < 1:
+        raise UsageError("--bptt must be at least 1")
     lines = [line for line in corpus_mod.read_text(args.train).split("\n") if line.strip()]
     if args.vocab:
         if args.shortlist is not None:
@@ -316,19 +318,24 @@ def _rescore_one(task):
 
 def cmd_rescore(args):
     global _WORKERS
+    if args.ngram_approx < 1:
+        raise UsageError("--ngram-approx must be at least 1")
+    # NaN too: it would prune all but the best path
+    if args.beam is not None and not args.beam >= 0:
+        raise UsageError("--beam must be at least 0")
     names = sorted(n for n in os.listdir(args.lattices) if n.endswith(".slf"))
     if not names:
         raise lattice_mod.LatticeError("no .slf files in %s" % args.lattices)
     uni = _load_rnnlm(args.model, want=("uni",))
     su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
     _interp_config(args)
-    if args.ngram_approx < 1:
-        raise UsageError("--ngram-approx must be at least 1")
     refs = None
     if args.refs:
         refs = {}
-        for raw in corpus_mod.read_text(args.refs).split("\n"):
+        for ln, raw in enumerate(corpus_mod.read_text(args.refs).split("\n"), 1):
             parts = raw.split()
+            if len(parts) == 1:
+                raise corpus_mod.DataError("empty reference", line=ln, path=args.refs)
             if parts:
                 refs[parts[0]] = parts[1:]
     if args.out_dir:

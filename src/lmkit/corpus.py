@@ -1,4 +1,8 @@
-"""Text corpora, vocabularies, and the batch layouts the trainers consume."""
+"""Text corpora, vocabularies, and the arrays the trainers read, each
+layout built here once: uni and su take the (S, W) rectangles of spliced
+sentence streams (`make_spliced_batches`), bi NULL-padded (rows, lengths)
+batches of whole sentences (`make_null_aligned_batches`).  Text files are
+UTF-8, and every file is written through `replacing`."""
 
 import collections
 import contextlib
@@ -51,18 +55,25 @@ def read_text(path):
         raise DataError("not UTF-8 text", line=line, path=path) from None
 
 
-def write_text(path, text):
-    """Write `text` as UTF-8 to a temporary file renamed over `path`, so a
-    failure leaves neither a partial file nor the temporary one."""
+@contextlib.contextmanager
+def replacing(path):
+    """A temporary path beside `path` for the block to write, renamed over
+    `path` when the block ends, so a failure anywhere leaves neither a
+    partial file nor the temporary one."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_text(path, text):
+    """Write `text` as UTF-8 in place of `path`; see `replacing`."""
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def bad_score(value):
@@ -202,83 +213,56 @@ class TokenizedCorpus:
         return cls.from_lines(vocab, read_text(path).split("\n"))
 
 
-class SplicedBatch:
-    """Sentences spliced end to end into a fixed number of parallel streams.
-
-    `streams[s]` is an int array of ids; step t of a stream predicts
-    `streams[s][t+1]`, and every sentence opens with its begin token.  When
-    built with `future_k > 0`, `step_windows[s]` holds the (T-1, k) window
-    ids aligned with those steps; windows never cross a sentence boundary.
-    """
-
-    def __init__(self, streams, step_windows=None):
-        self.streams = streams
-        self.step_windows = step_windows
-
-    @property
-    def num_streams(self):
-        return len(self.streams)
+def _check_streams(corpus, num_streams):
+    if num_streams <= 0:
+        raise CorpusError("need at least one stream")
+    if num_streams > len(corpus.sentences):
+        raise CorpusError("more streams than sentences")
 
 
 def make_spliced_batches(corpus, num_streams, future_k=0):
-    """Greedy splicing: each sentence joins the currently shortest stream."""
-    if num_streams <= 0:
-        raise CorpusError("need at least one stream")
-    if num_streams > len(corpus.sentences):
-        raise CorpusError("more streams than sentences")
+    """Sentences spliced end to end into S = `num_streams` streams, each
+    joining the shortest, as (S, W) rectangles, W the longest stream's
+    steps: step t of row s reads inputs[s, t] (PAD past the stream's end)
+    and predicts targets[s, t] (-1 past it).  Returns (inputs, targets,
+    windows), windows the (S, W, k) ids after each target inside the
+    sentence of the step's input, PAD at or past its end, or None when
+    `future_k` is 0."""
+    _check_streams(corpus, num_streams)
     streams = [[] for _ in range(num_streams)]
-    starts = [[] for _ in range(num_streams)]
+    # per stream position, the end (exclusive) of the sentence holding it
+    ends = [[] for _ in range(num_streams)]
     for sent in corpus.sentences:
         s = min(range(num_streams), key=lambda i: len(streams[i]))
-        starts[s].append(len(streams[s]))
         streams[s].extend(sent)
-    streams = [np.asarray(s, dtype=np.int64) for s in streams]
-    windows = None
-    if future_k > 0:
-        windows = [_stream_windows(stream, sent_starts, corpus.vocab.pad, future_k)
-                   for stream, sent_starts in zip(streams, starts)]
-    return SplicedBatch(streams, windows)
-
-
-def _stream_windows(stream, starts, pad, k):
-    """(T-1, k) windows of one stream, its sentences starting at `starts`:
-    step t predicts stream position t+1, and its window holds the k ids
-    after that position within its sentence, PAD at or past the sentence
-    end."""
-    steps = max(len(stream) - 1, 0)
-    # end (exclusive) of the sentence each stream position belongs to
-    bounds = list(starts) + [len(stream)]
-    ends = np.repeat(bounds[1:], np.diff(bounds))[:steps]
-    pos = np.arange(steps)[:, None] + 1 + np.arange(1, k + 1)[None, :]
-    inside = pos < ends[:, None]
-    return np.where(inside, stream[np.where(inside, pos, 0)], pad)
-
-
-class AlignedNullBatch:
-    """Sentences left-aligned into a rectangle, short rows padded with NULL."""
-
-    def __init__(self, rows, lengths):
-        self.rows = rows                      # (S, T) int array
-        self.lengths = np.asarray(lengths)    # true encoded lengths
-
-    @property
-    def num_rows(self):
-        return self.rows.shape[0]
+        ends[s].extend([len(streams[s])] * len(sent))
+    width = max(map(len, streams)) - 1
+    pad = corpus.vocab.pad
+    ids = np.full((num_streams, width + 1 + future_k), pad, dtype=np.int64)
+    end = np.zeros((num_streams, width + 1), dtype=np.int64)
+    for s, stream in enumerate(streams):
+        ids[s, :len(stream)] = stream
+        end[s, :len(stream)] = ends[s]
+    live = end[:, 1:] > 0    # the steps whose target is in the stream
+    inputs = np.where(live, ids[:, :width], pad)
+    targets = np.where(live, ids[:, 1:width + 1], -1)
+    if not future_k:
+        return inputs, targets, None
+    pos = np.arange(width)[:, None] + 1 + np.arange(1, future_k + 1)
+    return inputs, targets, np.where(pos < end[:, :width, None], ids[:, pos], pad)
 
 
 def make_null_aligned_batches(corpus, num_streams):
-    """Rectangular batches of `num_streams` consecutive sentences each."""
-    if num_streams <= 0:
-        raise CorpusError("need at least one stream")
-    if num_streams > len(corpus.sentences):
-        raise CorpusError("more streams than sentences")
-    null_id = corpus.vocab.null
+    """(rows, lengths) per `num_streams` consecutive sentences: the encoded
+    sentences left-aligned in a rectangle, padded with NULL, and their
+    lengths."""
+    _check_streams(corpus, num_streams)
     batches = []
     for off in range(0, len(corpus.sentences), num_streams):
         group = corpus.sentences[off:off + num_streams]
-        width = max(len(s) for s in group)
-        rows = np.full((len(group), width), null_id, dtype=np.int64)
+        lengths = np.array([len(s) for s in group])
+        rows = np.full((len(group), lengths.max()), corpus.vocab.null, dtype=np.int64)
         for r, sent in enumerate(group):
             rows[r, :len(sent)] = sent
-        batches.append(AlignedNullBatch(rows, [len(s) for s in group]))
+        batches.append((rows, lengths))
     return batches

@@ -12,7 +12,7 @@ They differ only in the recurrent part; the base `Rnnlm` holds the rest:
 construction, parameters, the container, the per-word lookup and sentence
 scores, the output layer with its loss and gradients, and `_sgd_train`
 (plain SGD with global-norm clipping).  A subclass gives
-`word_logprobs(seqs, alpha)`, `_batches` (its training data) and
+`word_logprobs(seqs, alpha)`, `_batches` (its training arrays) and
 `_updates` (the loss, tokens and rows of each update, whose gradients it
 adds into a dict the caller owns).  uni is su with k=0: `UniRnnlm`
 implements both, the future unit guarded by `k`, and `SuRnnlm` only sets
@@ -29,14 +29,16 @@ frontier in lattice rescoring, per depth of a `PrefixTrie` of up to
 `TRIE_SENTENCES` sentences.  Their calls are small (a few rows each), so
 they go straight to numpy: `advance` is one nn.gru_step, whose cell takes
 both gates through one product per z/r block, and `output_dist` runs the
-future unit (the one `_context_rows` training uses, on new arrays), the
+future unit (the `_context_rows` training uses, on nn.FRESH arrays), the
 output layer and `smooth` on (B, 1, .) row views, with no workspace.  bi
 scores one sentence at a time, through one workspace.  A word's log
 probability is `interpolate.safe_ln` of its output slot; `load_rnnlm`
 rejects non-finite weights, so no NaN reaches it.
 
-Training works a span at a time: a bptt span of the spliced streams (uni,
-su) or a batch of sentences (bi) is held as (time, rows, width) stacks.
+Training works a span at a time on the arrays corpus builds (its builders
+looked up as this module's attributes, where the tracer wraps them): a
+bptt span of the spliced rectangles (uni, su) or a batch of sentences (bi)
+is held as (time, rows, width) stacks.
 Only the GRU recurrence loops over time (nn.gru_span); the future unit,
 the output layer, softmax and loss, and every weight gradient are stacked
 products over the span, one gemm per step inside each, summed in the
@@ -344,7 +346,7 @@ class UniRnnlm(Rnnlm):
             if rows and window.ndim == 2:
                 # (B, 1, k); any other shape fails _context_rows' check
                 window = window[:, None]
-            h, _ = self._context_rows(h, window)
+            h, _ = self._context_rows(h, window, nn.FRESH)
         logits = h @ self.out_w.T
         logits += self.out_b
         dist = smooth(logits, alpha)
@@ -369,23 +371,11 @@ class UniRnnlm(Rnnlm):
     # ---- training ----
 
     def _batches(self, corpus, num_streams):
-        """Rectangles of the spliced streams: inputs, output slots, valid
-        and reset masks, and the future windows (None when k is 0)."""
-        batch = make_spliced_batches(corpus, num_streams, future_k=self.k)
+        """corpus.make_spliced_batches' inputs and windows, with the output
+        slots and valid masks of its targets (no begin token, nothing past
+        a stream's end) and the reset masks of its inputs."""
+        inputs, targets, windows = make_spliced_batches(corpus, num_streams, future_k=self.k)
         v = self.vocab
-        S = batch.num_streams
-        width = max(len(s) for s in batch.streams) - 1
-        inputs = np.full((S, width), v.pad, dtype=np.int64)
-        targets = np.full((S, width), -1, dtype=np.int64)
-        windows = None
-        if self.k:
-            windows = np.full((S, width, self.k), v.pad, dtype=np.int64)
-        for s, stream in enumerate(batch.streams):
-            n = len(stream) - 1
-            inputs[s, :n] = stream[:-1]
-            targets[s, :n] = stream[1:]
-            if self.k:
-                windows[s, :n] = batch.step_windows[s]
         valid = (targets >= 0) & (targets != v.sent_begin)
         resets = inputs == v.sent_begin
         slots = np.where(valid, np.minimum(targets, v.shortlist_size), 0)
@@ -442,26 +432,20 @@ class UniRnnlm(Rnnlm):
         grads["emb"][self.vocab.pad] = 0.0
         return loss, tokens, h_out
 
-    def _context_rows(self, h_new, win_rows, ws=None):
+    def _context_rows(self, h_new, win_rows, ws):
         """Context rows [h, f] with f the future vector of each row's (k,)
         window: h_new (..., H) takes windows (..., k), for one state, a
         stack of row views (B, 1, H) or a training span (T, B, H).  Also
         returns what the backward pass needs.  The rows are built in
-        Workspace `ws`, or in new arrays when it is None (the scorers)."""
+        Workspace `ws` (nn.FRESH for the scorers: new arrays)."""
         if not self.k:
             return h_new, None
         lead = h_new.shape[:-1]
         if win_rows.shape != lead + (self.k,):
             raise ValueError("need %d succeeding word ids per row" % self.k)
-        width = (self.hidden + self.future_hidden,)
-        if ws is None:
-            flat = self.emb.take(win_rows, axis=0)
-            ctx, pre = np.empty(lead + width, self.dtype), None
-        else:
-            flat = self._embed(win_rows, ws, "fut.window")
-            ctx = ws.take("fut.ctx", lead + width, self.dtype)
-            pre = ws.take("fut.pre", lead + (self.future_hidden,), self.dtype)
-        flat = flat.reshape(lead + (self.k * self.embed,))
+        flat = self._embed(win_rows, ws, "fut.window").reshape(lead + (self.k * self.embed,))
+        ctx = ws.take("fut.ctx", lead + (self.hidden + self.future_hidden,), self.dtype)
+        pre = ws.take("fut.pre", lead + (self.future_hidden,), self.dtype)
         # h copied in, f written by tanh in place
         ctx[..., :self.hidden] = h_new
         pre = np.matmul(flat, self.fut_w.T, out=pre)
@@ -547,17 +531,17 @@ class BiRnnlm(Rnnlm):
         from workspace `ws` and its gradients added into `grads` (None:
         loss only).  bi backpropagates over whole sentences, so `span` has
         no use here."""
-        for batch in batches:
-            yield (*self.loss_and_grads_batch(batch, grads, ws), batch.num_rows)
+        for rows, lengths in batches:
+            yield (*self.loss_and_grads_batch(rows, lengths, grads, ws), len(rows))
 
-    def loss_and_grads_batch(self, batch, grads=None, ws=nn.FRESH):
-        """(loss, tokens) of one rectangle batch, NULL cells excluded, its
-        gradients added into `grads` unless that is None.  Both GRUs run
-        as spans (nn.gru_span); the output layer and its gradients are one
-        3-d product each over positions 1..T-1, summed in ascending position
-        order as the step loop did.  The stacks come from Workspace `ws`
-        (nn.FRESH: new arrays)."""
-        rows, lengths = batch.rows, batch.lengths
+    def loss_and_grads_batch(self, rows, lengths, grads=None, ws=nn.FRESH):
+        """(loss, tokens) of one (S, T) rectangle of sentences of the given
+        lengths, NULL cells excluded, its gradients added into `grads`
+        unless that is None.  Both GRUs run as spans (nn.gru_span); the
+        output layer and its gradients are one 3-d product each over
+        positions 1..T-1, summed in ascending position order as the step
+        loop did.  The stacks come from Workspace `ws` (nn.FRESH: new
+        arrays)."""
         S, T = rows.shape
         ctx, mask, f_cache, b_cache = self._forward_rect(rows, lengths, ws)
         slots = np.minimum(rows, self.vocab.shortlist_size).T[1:]

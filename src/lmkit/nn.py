@@ -28,12 +28,11 @@ and finite; anything else is a DataError naming the file."""
 
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
-from .corpus import DataError
+from .corpus import DataError, replacing
 
 MODEL_MAGIC = b"LMKIT1\n"
 
@@ -425,7 +424,8 @@ def check_finite(params):
 
 def save_model(path, header, tensors):
     """Write the container: magic, length-prefixed JSON header, then the raw
-    little-endian buffers in manifest order.  Round trips are bit exact."""
+    little-endian buffers in manifest order, through corpus.replacing.
+    Round trips are bit exact."""
     header = dict(header)
     names = sorted(tensors)
     header["tensors"] = [
@@ -433,8 +433,7 @@ def save_model(path, header, tensors):
         for n in names
     ]
     blob = json.dumps(header, sort_keys=True).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -443,7 +442,6 @@ def save_model(path, header, tensors):
             if arr.dtype.byteorder == ">":
                 arr = arr.astype(arr.dtype.newbyteorder("<"))
             fh.write(arr.tobytes())
-    os.replace(tmp, path)
 
 
 def _read(fh, n, path):

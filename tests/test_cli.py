@@ -168,6 +168,34 @@ def test_usage_errors_exit_1(ws):
         assert "usage error:" in err
 
 
+def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
+    # checked before any corpus, model or lattice is read: none of these exist
+    missing = tmp_path / "missing"
+    for beam in (-1, "nan"):
+        code, out, err = run(["rescore", "--lattices", missing, "--model", missing,
+                              "--beam", beam])
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: --beam must be at least 0\n"
+    for bptt in (0, -5):
+        code, out, err = run(["train", "--arch", "uni", "--train", missing,
+                              "--model-out", missing, "--bptt", bptt])
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: --bptt must be at least 1\n"
+    assert not missing.exists()
+
+
+def test_empty_reference_exits_2(ws, tmp_path):
+    fx = ws / "fx"
+    refs = tmp_path / "refs.txt"
+    lines = (fx / "refs.txt").read_text().splitlines()
+    lines[3] = lines[3].split()[0] + "  "
+    refs.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["rescore", "--lattices", fx / "lattices",
+                          "--model", ws / "uni.model", "--refs", refs])
+    assert (code, out) == (2, ""), err
+    assert err == "data error: %s: line 4: empty reference\n" % refs
+
+
 def test_data_errors_exit_2(ws, tmp_path):
     fx = ws / "fx"
     garbage = tmp_path / "garbage.arpa"

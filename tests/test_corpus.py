@@ -88,7 +88,7 @@ def test_future_window_pads_past_sentence_end():
     v = build_vocabulary(LINES)
     corpus = TokenizedCorpus.from_lines(v, ["a b"])
     ids = corpus.sentences[0]      # <s> a b </s>
-    windows = make_spliced_batches(corpus, 1, future_k=3).step_windows[0]
+    windows = make_spliced_batches(corpus, 1, future_k=3)[2][0]
     # step t predicts position t + 1
     assert tuple(windows[0]) == (ids[2], ids[3], v.pad)
     assert tuple(windows[2]) == (v.pad, v.pad, v.pad)
@@ -97,40 +97,75 @@ def test_future_window_pads_past_sentence_end():
         (ids[2], ids[3]), (ids[3], v.pad), (v.pad, v.pad)]
 
 
+def _streams(inputs, targets, pad):
+    """Each row's stream of ids, checking the padding past its end: its
+    inputs then its last target."""
+    out = []
+    for row_in, row_out in zip(inputs, targets):
+        n = int((row_out >= 0).sum())
+        assert (row_in[n:] == pad).all() and (row_out[n:] == -1).all()
+        stream = [int(x) for x in row_in[:n]] + [int(row_out[n - 1])]
+        assert [int(x) for x in row_out[:n]] == stream[1:]
+        out.append(stream)
+    return out
+
+
+def _sentence_bounds(stream, sent_begin):
+    starts = [i for i, x in enumerate(stream) if x == sent_begin]
+    return list(zip(starts, starts[1:] + [len(stream)]))
+
+
 def test_spliced_batches_cover_every_bigram_once():
+    for streams in (1, 2, 3):
+        _check_spliced_batches(streams)
+
+
+def _check_spliced_batches(streams):
     v = build_vocabulary(LINES)
     corpus = TokenizedCorpus.from_lines(v, LINES)
-    batch = make_spliced_batches(corpus, 2)
+    inputs, targets, windows = make_spliced_batches(corpus, streams)
+    assert windows is None
+    assert inputs.shape == targets.shape and inputs.shape[0] == streams
+    assert inputs.dtype == targets.dtype == np.int64
     want = []
     for sent in corpus.sentences:
         for t in range(len(sent) - 1):
             want.append((sent[t], sent[t + 1]))
-    got = []
-    for s in range(batch.num_streams):
-        stream = batch.streams[s]
-        starts = set(np.flatnonzero(stream == v.sent_begin))
-        for t in range(len(stream) - 1):
-            # a sentence start right after t means stream[t+1] opens a new
-            # sentence, so no prediction crosses that seam
-            if t + 1 in starts:
-                continue
-            got.append((int(stream[t]), int(stream[t + 1])))
+    got, sentences = [], []
+    rows = _streams(inputs, targets, v.pad)
+    # the longest stream fills the rectangle
+    assert max(len(stream) for stream in rows) - 1 == inputs.shape[1]
+    for stream in rows:
+        for lo, hi in _sentence_bounds(stream, v.sent_begin):
+            sentences.append(stream[lo:hi])
+            # no prediction crosses the seam into the next sentence
+            got += [(stream[t], stream[t + 1]) for t in range(lo, hi - 1)]
     assert sorted(got) == sorted(want)
+    assert sorted(sentences) == sorted(corpus.sentences)
 
 
 def test_spliced_windows_match_per_sentence_recomputation():
+    for streams in (1, 2, 3):
+        for k in (1, 2, 3):
+            _check_spliced_windows(streams, k)
+
+
+def _check_spliced_windows(streams, k):
     v = build_vocabulary(LINES)
     corpus = TokenizedCorpus.from_lines(v, LINES)
-    k = 2
-    batch = make_spliced_batches(corpus, 2, future_k=k)
-    for s in range(batch.num_streams):
-        stream = batch.streams[s]
-        bounds = list(np.flatnonzero(stream == v.sent_begin)) + [len(stream)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            sent = list(stream[lo:hi])
+    inputs, targets, windows = make_spliced_batches(corpus, streams, future_k=k)
+    assert windows.shape == inputs.shape + (k,) and windows.dtype == np.int64
+    for s, stream in enumerate(_streams(inputs, targets, v.pad)):
+        for lo, hi in _sentence_bounds(stream, v.sent_begin):
+            sent = stream[lo:hi]
             for t in range(lo, hi - 1):
                 fw = future_window(v.pad, sent, t + 1 - lo, k)
-                assert tuple(batch.step_windows[s][t]) == fw
+                assert tuple(windows[s, t]) == fw
+            # the step from the sentence's end to the next sentence's begin
+            # token reads no window: it ends with the sentence of its input
+            if hi < len(stream):
+                assert (windows[s, hi - 1] == v.pad).all()
+        assert (windows[s, len(stream) - 1:] == v.pad).all()
 
 
 def test_null_aligned_batches_pad_with_null():
@@ -138,12 +173,11 @@ def test_null_aligned_batches_pad_with_null():
     corpus = TokenizedCorpus.from_lines(v, LINES)
     batches = make_null_aligned_batches(corpus, 2)
     seen = []
-    for b in batches:
-        assert b.rows.shape[1] == max(b.lengths)
-        for r in range(b.num_rows):
-            row = list(b.rows[r])
-            n = int(b.lengths[r])
-            seen.append(row[:n])
+    for rows, lengths in batches:
+        assert rows.dtype == lengths.dtype == np.int64
+        assert rows.shape == (len(lengths), max(lengths))
+        for row, n in zip(rows, lengths):
+            seen.append(list(row[:n]))
             assert all(x == v.null for x in row[n:])
     assert seen == corpus.sentences
 

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from lmkit import nn
+from lmkit.corpus import write_text
 from oracles import gru_step as per_gate_step
 
 
@@ -225,6 +227,23 @@ def test_model_container_round_trip(tmp_path):
     path2 = str(tmp_path / "m2.bin")
     nn.save_model(path2, {"arch": "x", "hidden": 3}, loaded)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_failed_saves_leave_no_temporary_file(tmp_path, monkeypatch):
+    # the model container and text files share one write-then-rename path
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for save in (lambda: nn.save_model(str(path), {"arch": "x"}, {"w": np.zeros(2)}),
+                 lambda: write_text(str(path), "text\n")):
+        with pytest.raises(OSError, match="rename refused"):
+            save()
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+        assert path.read_bytes() == b"old"
 
 
 def test_load_model_rejects_wrong_magic(tmp_path):

@@ -142,9 +142,8 @@ def _reference_forward_backward(model, inputs, slots, valid, resets, windows, t0
     return loss, grads, h
 
 
-def _reference_bi_batch(model, batch):
+def _reference_bi_batch(model, rows, lengths):
     """BiRnnlm.loss_and_grads_batch one step at a time."""
-    rows, lengths = batch.rows, np.asarray(batch.lengths)
     n, T = rows.shape
     emb = model.emb[rows]
     zeros = np.zeros((n, model.hidden), dtype=model.dtype)
@@ -225,11 +224,11 @@ def test_uni_and_su_spans_match_stepwise_reference(span_corpus, succ, dtype):
 def test_bi_batches_match_stepwise_reference(span_corpus, dtype):
     vocab, corpus = span_corpus
     model = BiRnnlm(vocab, H, E, seed=34, dtype=dtype)
-    for batch in make_null_aligned_batches(corpus, S)[:3]:
-        assert len(set(batch.lengths)) > 1  # ragged rows carry their state
+    for rows, lengths in make_null_aligned_batches(corpus, S)[:3]:
+        assert len(set(lengths)) > 1  # ragged rows carry their state
         grads = nn.zeros_like_params(model.params())
-        loss, _ = model.loss_and_grads_batch(batch, grads)
-        want_loss, want_grads = _reference_bi_batch(model, batch)
+        loss, _ = model.loss_and_grads_batch(rows, lengths, grads)
+        want_loss, want_grads = _reference_bi_batch(model, rows, lengths)
         assert loss == want_loss
         _same_grads(grads, want_grads)
 
@@ -265,18 +264,18 @@ def test_bi_batches_through_one_workspace(span_corpus):
     model = BiRnnlm(vocab, H, E, seed=40)
     wide = make_null_aligned_batches(corpus, S)
     narrow = make_null_aligned_batches(corpus, S // 2 + 1)
-    by_length = sorted(wide, key=lambda b: b.rows.shape[1])
+    by_length = sorted(wide, key=lambda b: b[0].shape[1])
     # longer then shorter rows, then fewer of them, then longer again
     order = [by_length[-1], by_length[0], narrow[0],
-             max(narrow, key=lambda b: b.rows.shape[1]), wide[-1]]
-    assert len({b.rows.shape for b in order}) == len(order)
+             max(narrow, key=lambda b: b[0].shape[1]), wide[-1]]
+    assert len({rows.shape for rows, _ in order}) == len(order)
     ws = nn.Workspace()
     for batch in order:
         for with_grads in (True, False):
             got_grads = nn.zeros_like_params(model.params()) if with_grads else None
             want_grads = nn.zeros_like_params(model.params()) if with_grads else None
-            got = model.loss_and_grads_batch(batch, got_grads, ws)
-            assert got == model.loss_and_grads_batch(batch, want_grads)
+            got = model.loss_and_grads_batch(*batch, got_grads, ws)
+            assert got == model.loss_and_grads_batch(*batch, want_grads)
             if with_grads:
                 _same_grads(got_grads, want_grads)
 
@@ -295,8 +294,8 @@ def test_later_spans_allocate_no_stack_outside_the_workspace(span_corpus, arch, 
     batches = model._batches(corpus, GUARD_STREAMS)
     if arch == "bi":
         # longest first, so the workspace needs no growth after the first
-        batches = sorted(batches, key=lambda b: -b.rows.shape[1])
-        steps = [b.rows.shape[1] - 1 for b in batches]
+        batches = sorted(batches, key=lambda b: -b[0].shape[1])
+        steps = [rows.shape[1] - 1 for rows, _ in batches]
     else:
         width = batches[0].shape[1]
         steps = [min(32, width - t0) for t0 in range(0, width, 32)]
