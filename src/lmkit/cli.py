@@ -149,9 +149,18 @@ def _hyper_from(args):
     return hyper
 
 
+# the least value of each integer train flag
+_TRAIN_MINIMA = (("order", 1), ("hidden", 1), ("embed", 1), ("succ", 0),
+                 ("epochs", 1), ("streams", 1), ("bptt", 1))
+
+
 def cmd_train(args):
-    if args.bptt is not None and args.bptt < 1:
-        raise UsageError("--bptt must be at least 1")
+    for name, least in _TRAIN_MINIMA:
+        val = getattr(args, name)
+        if val is not None and val < least:
+            raise UsageError("--%s must be at least %d" % (name, least))
+    if args.discount is not None and not 0.0 < args.discount < 1.0:
+        raise UsageError("--discount must lie in (0, 1)")
     lines = [line for line in corpus_mod.read_text(args.train).split("\n") if line.strip()]
     if args.vocab:
         if args.shortlist is not None:

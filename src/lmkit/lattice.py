@@ -438,7 +438,7 @@ def prune(lat, beam, ac_scale=1.0, lm_scale=1.0):
     """Drop arcs whose log posterior falls more than beam below the best one.
     The best path always survives, then ids are renumbered compactly in the
     original order."""
-    if beam < 0:
+    if not beam >= 0:    # NaN too
         raise ValueError("beam must be nonnegative")
     alpha, beta, log_z = _alpha_beta(lat, ac_scale, lm_scale)
     log_post = [alpha[a.start] + _arc_weight(a, ac_scale, lm_scale)

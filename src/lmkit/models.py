@@ -149,6 +149,10 @@ class Rnnlm:
         """Draw the weights: the embedding, one GRU per name in `cells` (kept
         as that attribute), the future unit when k > 0, the output layer.
         future_hidden None (bi: no future unit) keeps it out of the header."""
+        if hidden < 1 or embed < 1:
+            raise ValueError("hidden and embed sizes must be at least 1")
+        if k < 0 or (k and future_hidden < 1):
+            raise ValueError("need succ >= 0 and, with succ > 0, future_hidden >= 1")
         self.vocab = vocab
         self.hidden = hidden
         self.embed = embed

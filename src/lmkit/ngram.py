@@ -10,12 +10,33 @@ precede them.  A single fixed discount D per order gives
 which sums to one exactly over the support.  Probabilities and back-off
 weights are stored in log10 to match the file format; the scoring API returns
 natural logs.
+
+A model is two flat tables per order m: `entries[m]` maps each m-gram, a
+tuple of word ids, to its log10 probability, and `bows[m]` maps each m-gram
+that is a history to its log10 back-off weight.  The estimator holds no
+n-gram as a Python object until it builds those tables, whose tuples share
+one int object per word id.  It sorts the
+corpus once per order: an m-gram is the index of its (m-1)-gram prefix
+times the vocabulary size plus its last word, so the sorted keys list the
+distinct m-grams in tuple order with each history's words side by side,
+and every position of the corpus knows the index of the m-gram ending
+there (none crosses a sentence).  Continuation counts, history totals and
+type counts are then bincounts and `reduceat` sums over those arrays.  The
+probabilities are computed elementwise with the operand order of the
+formula above; IEEE subtraction, multiplication and division round alike
+in numpy and Python, so every value has the bits of the per-n-gram
+computation.  log10 stays `math.log10`, one value at a time, because
+`np.log10` differs from it in the last bit on some values, and the scores
+and ARPA files would no longer be those of the per-n-gram estimator.
 """
 
 import collections
+import itertools
 import math
 
-from .corpus import SENT_BEGIN, DataError, bad_score, read_text, write_text
+import numpy as np
+
+from .corpus import DataError, bad_score, read_text, write_text
 from .evaluate import ordered_sum
 
 LN10 = math.log(10.0)
@@ -34,20 +55,17 @@ class ArpaModel:
             raise ValueError("order must be at least 1")
         self.vocab = vocab
         self.order = order
-        # entries[m][(w1..wm)] = [log10 prob, log10 bow or None]
+        # entries[m][(w1..wm)] = log10 prob; bows[m][(w1..wm)] = log10 bow
         self.entries = [None] + [dict() for _ in range(order)]
+        self.bows = [None] + [dict() for _ in range(order)]
 
     def _lp10(self, hist, word):
-        ent = self.entries[len(hist) + 1].get(hist + (word,))
-        if ent is not None:
-            return ent[0]
+        lp = self.entries[len(hist) + 1].get(hist + (word,))
+        if lp is not None:
+            return lp
         if not hist:
             return float("-inf")
-        bow = 0.0
-        hent = self.entries[len(hist)].get(hist)
-        if hent is not None and hent[1] is not None:
-            bow = hent[1]
-        return bow + self._lp10(hist[1:], word)
+        return self.bows[len(hist)].get(hist, 0.0) + self._lp10(hist[1:], word)
 
     def logprob(self, history, word):
         """Natural-log conditional probability; history longer than order-1
@@ -68,8 +86,45 @@ class ArpaModel:
         return ordered_sum(self.sentence_word_logprobs(ids))
 
     def support(self):
-        """Word ids with a unigram entry (everything the model can emit)."""
-        return [g[0] for g in self.entries[1]]
+        """Word ids with a unigram entry (everything the model can emit), in
+        ascending order."""
+        return sorted(g[0] for g in self.entries[1])
+
+
+# the distinct m-grams of one order, sorted as tuples: per n-gram the index
+# of its (m-1)-gram prefix (`hist`, 0 for unigrams), its last word, its
+# count, the index of its (m-1)-gram suffix (None for unigrams) and whether
+# it starts with the begin token
+_Grams = collections.namedtuple("_Grams", "hist word count suffix pinned")
+
+
+def _count_grams(corpus, order):
+    """_Grams of orders 1..order, in that order, over the encoded
+    sentences."""
+    sents = corpus.sentences
+    V = len(corpus.vocab)
+    lengths = np.fromiter(map(len, sents), np.int64, len(sents))
+    ids = np.fromiter(itertools.chain.from_iterable(sents), np.int64, int(lengths.sum()))
+    # each token's position inside its sentence
+    pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    levels = []
+    at = None    # per position, the index of the (m-1)-gram ending there
+    for m in range(1, order + 1):
+        ends = np.flatnonzero(pos >= m - 1)
+        key = ids[ends] if m == 1 else at[ends - 1] * V + ids[ends]
+        keys, inv, count = np.unique(key, return_inverse=True, return_counts=True)
+        hist, word = np.divmod(keys, V)
+        # one end position per n-gram: its suffix is the (m-1)-gram ending there
+        one = np.empty(len(keys), np.int64)
+        one[inv] = ends
+        if m == 1:
+            suffix, pinned = None, word == corpus.vocab.sent_begin
+        else:
+            suffix, pinned = at[one], levels[-1].pinned[hist]
+        levels.append(_Grams(hist, word, count, suffix, pinned))
+        at = np.full(len(ids), -1, np.int64)
+        at[ends] = inv
+    return levels
 
 
 def train_kn(corpus, order, discount=0.75):
@@ -79,63 +134,51 @@ def train_kn(corpus, order, discount=0.75):
         raise ValueError("discount must lie in (0, 1)")
     vocab = corpus.vocab
     model = ArpaModel(vocab, order)
-    begin = vocab.sent_begin
+    levels = _count_grams(corpus, order)
 
-    raw = [None] + [collections.Counter() for _ in range(order)]
-    for sent in corpus.sentences:
-        for i in range(len(sent)):
-            for m in range(1, order + 1):
-                if i - m + 1 < 0:
-                    break
-                raw[m][tuple(sent[i - m + 1:i + 1])] += 1
-
-    # unigram distribution
-    uni = collections.Counter()
+    # unigram distribution over the vocabulary: raw counts for a unigram
+    # model, else how many distinct words precede each word
+    g1 = levels[0]
     if order == 1:
-        for gram, c in raw[1].items():
-            if gram[0] != begin:
-                uni[gram[0]] += c
+        counts = np.where(g1.pinned, 0, g1.count)
     else:
-        for gram in raw[2]:
-            uni[gram[1]] += 1
-    if uni.get(vocab.oov, 0) == 0:
+        counts = np.bincount(levels[1].suffix, minlength=len(g1.word))
+    uni = np.zeros(len(vocab), np.int64)
+    uni[g1.word] = counts
+    if uni[vocab.oov] == 0:
         uni[vocab.oov] = 1
-    total = sum(uni.values())
-    pint = [None, {}]
-    for w, c in uni.items():
-        p = c / total
-        pint[1][(w,)] = p
-        model.entries[1][(w,)] = [math.log10(p), None]
-    if raw[1].get((begin,)):
-        model.entries[1][(begin,)] = [LOG10_NEG_INF, None]
+    p_uni = uni / int(uni.sum())
+    # one tuple, and so one int object, per word id; the longer n-grams
+    # extend these
+    words = g1.word.tolist()
+    unigram = {w: (w,) for w in words}
+    unigram.setdefault(vocab.oov, (vocab.oov,))
+    model.entries[1] = {unigram[w]: math.log10(p_uni[w])
+                        for w in np.flatnonzero(uni).tolist()}
+    if vocab.sent_begin in unigram:
+        model.entries[1][unigram[vocab.sent_begin]] = LOG10_NEG_INF
 
+    prev_keys = [unigram[w] for w in words]
+    p_prev = p_uni[g1.word]
     for m in range(2, order + 1):
+        g = levels[m - 1]
         # continuation counts, except for histories pinned to the sentence start
         if m == order:
-            eff = raw[m]
+            eff = g.count
         else:
-            mod = collections.Counter()
-            for gram in raw[m + 1]:
-                mod[gram[1:]] += 1
-            eff = {}
-            for gram, c in raw[m].items():
-                eff[gram] = c if gram[0] == begin else mod[gram]
-        by_hist = collections.defaultdict(list)
-        for gram, c in eff.items():
-            by_hist[gram[:-1]].append((gram[-1], c))
-        pint.append({})
-        for hist, items in sorted(by_hist.items()):
-            T = sum(c for _, c in items)
-            n1p = len(items)
-            bow = discount * n1p / T
-            for w, c in items:
-                p = (max(c - discount, 0.0) + discount * n1p * pint[m - 1][hist[1:] + (w,)]) / T
-                pint[m][hist + (w,)] = p
-                model.entries[m][hist + (w,)] = [math.log10(p), None]
-            hent = model.entries[m - 1].get(hist)
-            if hent is None:
-                raise AssertionError("missing back-off context %r" % (hist,))
-            hent[1] = math.log10(bow)
+            cont = np.bincount(levels[m].suffix, minlength=len(g.word))
+            eff = np.where(g.pinned, g.count, cont)
+        starts = np.flatnonzero(np.diff(g.hist, prepend=-1))
+        n1p = np.diff(starts, append=len(g.hist))
+        T = np.add.reduceat(eff, starts)
+        p = ((np.maximum(eff - discount, 0.0) + discount * np.repeat(n1p, n1p) * p_prev[g.suffix])
+             / np.repeat(T, n1p))
+        keys = [prev_keys[h] + unigram[w]
+                for h, w in zip(g.hist.tolist(), g.word.tolist())]
+        model.entries[m] = dict(zip(keys, map(math.log10, p.tolist())))
+        model.bows[m - 1] = dict(zip([prev_keys[h] for h in g.hist[starts].tolist()],
+                                     map(math.log10, (discount * n1p / T).tolist())))
+        prev_keys, p_prev = keys, p
     return model
 
 
@@ -148,8 +191,9 @@ def save_arpa(model, path):
     for m in range(1, model.order + 1):
         lines.append("")
         lines.append("\\%d-grams:" % m)
-        for gram in sorted(model.entries[m]):
-            lp, bow = model.entries[m][gram]
+        entries, bows = model.entries[m], model.bows[m]
+        for gram in sorted(entries):
+            lp, bow = entries[gram], bows.get(gram)
             text = " ".join(model.vocab.words[w] for w in gram)
             if bow is None:
                 lines.append("%.7f\t%s" % (lp, text))
@@ -164,7 +208,7 @@ def load_arpa(path, vocab):
     """Parse an ARPA file against a vocabulary.  Raises FormatError naming
     the file and the offending line on malformed input.  NaN and +inf log
     probabilities and back-off weights are rejected; -inf is kept (a zero
-    probability)."""
+    probability).  An n-gram listed twice is an error."""
     raw_lines = read_text(path).splitlines()
     try:
         return _parse_arpa(raw_lines, vocab)
@@ -239,7 +283,12 @@ def _parse_arpa(raw_lines, vocab):
             if wtxt not in vocab.index:
                 raise FormatError("word %r not in vocabulary" % wtxt, i + 1)
             gram.append(vocab.index[wtxt])
-        model.entries[current][tuple(gram)] = [lp, bow]
+        gram = tuple(gram)
+        if gram in model.entries[current]:
+            raise FormatError("duplicate %d-gram" % current, i + 1)
+        model.entries[current][gram] = lp
+        if bow is not None:
+            model.bows[current][gram] = bow
         seen[current] += 1
         i += 1
     raise FormatError("missing \\end\\ terminator", n)

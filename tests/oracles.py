@@ -2,13 +2,18 @@
 
 The library scores and trains through stacked calls; these are the plain
 one-position forms those calls must reproduce, the per-gate GRU step the
-training kernels must reproduce, and the whole-corpus pass the
-finite-difference checks differentiate.
+training kernels must reproduce, the whole-corpus pass the
+finite-difference checks differentiate, and the dictionary Kneser-Ney
+estimator whose tables the sort-based one must reproduce bit for bit.
 """
+
+import collections
+import math
 
 import numpy as np
 
 from lmkit import nn
+from lmkit.ngram import LOG10_NEG_INF
 
 
 def future_window(pad, ids, t, k):
@@ -55,3 +60,69 @@ def full_pass(model, batches, grads=None):
         loss += update_loss
         tokens += update_tokens
     return loss, tokens
+
+
+def train_kn(corpus, order, discount=0.75):
+    """Interpolated Kneser-Ney as `ngram.train_kn` computes it, over
+    Counters keyed by n-gram tuples: tables[m][(w1..wm)] = [log10 prob,
+    log10 bow or None]."""
+    vocab = corpus.vocab
+    tables = [None] + [dict() for _ in range(order)]
+    begin = vocab.sent_begin
+
+    raw = [None] + [collections.Counter() for _ in range(order)]
+    for sent in corpus.sentences:
+        for i in range(len(sent)):
+            for m in range(1, order + 1):
+                if i - m + 1 < 0:
+                    break
+                raw[m][tuple(sent[i - m + 1:i + 1])] += 1
+
+    # unigram distribution
+    uni = collections.Counter()
+    if order == 1:
+        for gram, c in raw[1].items():
+            if gram[0] != begin:
+                uni[gram[0]] += c
+    else:
+        for gram in raw[2]:
+            uni[gram[1]] += 1
+    if uni.get(vocab.oov, 0) == 0:
+        uni[vocab.oov] = 1
+    total = sum(uni.values())
+    pint = [None, {}]
+    for w, c in uni.items():
+        p = c / total
+        pint[1][(w,)] = p
+        tables[1][(w,)] = [math.log10(p), None]
+    if raw[1].get((begin,)):
+        tables[1][(begin,)] = [LOG10_NEG_INF, None]
+
+    for m in range(2, order + 1):
+        # continuation counts, except for histories pinned to the sentence start
+        if m == order:
+            eff = raw[m]
+        else:
+            mod = collections.Counter()
+            for gram in raw[m + 1]:
+                mod[gram[1:]] += 1
+            eff = {}
+            for gram, c in raw[m].items():
+                eff[gram] = c if gram[0] == begin else mod[gram]
+        by_hist = collections.defaultdict(list)
+        for gram, c in eff.items():
+            by_hist[gram[:-1]].append((gram[-1], c))
+        pint.append({})
+        for hist, items in sorted(by_hist.items()):
+            T = sum(c for _, c in items)
+            n1p = len(items)
+            bow = discount * n1p / T
+            for w, c in items:
+                p = (max(c - discount, 0.0) + discount * n1p * pint[m - 1][hist[1:] + (w,)]) / T
+                pint[m][hist + (w,)] = p
+                tables[m][hist + (w,)] = [math.log10(p), None]
+            hent = tables[m - 1].get(hist)
+            if hent is None:
+                raise AssertionError("missing back-off context %r" % (hist,))
+            hent[1] = math.log10(bow)
+    return tables

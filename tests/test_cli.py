@@ -84,6 +84,17 @@ def test_train_ngram_matches_fixture_baseline(ws, tmp_path):
     assert "1-grams:" in out and "3-grams:" in out
 
 
+# sha256 of the baseline.arpa that `lmkit fixtures` writes with its
+# defaults, recorded with the dictionary Kneser-Ney estimator
+PINNED_BASELINE_ARPA_SHA256 = "a2d8a438f158ce2ec4e87747b4f66a0833ed58713b3eacf58274876c138ff196"
+
+
+def test_default_fixture_arpa_matches_pinned_bytes(tmp_path):
+    run_ok(["fixtures", "--out", tmp_path])
+    digest = hashlib.sha256((tmp_path / "baseline.arpa").read_bytes()).hexdigest()
+    assert digest == PINNED_BASELINE_ARPA_SHA256
+
+
 def test_train_is_deterministic(ws, tmp_path):
     fx = ws / "fx"
     run_ok(["train", "--arch", "uni", "--train", fx / "train.txt",
@@ -176,11 +187,24 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
                               "--beam", beam])
         assert (code, out) == (1, ""), err
         assert err == "usage error: --beam must be at least 0\n"
-    for bptt in (0, -5):
-        code, out, err = run(["train", "--arch", "uni", "--train", missing,
-                              "--model-out", missing, "--bptt", bptt])
+    train = ["train", "--train", missing, "--model-out", missing]
+    bad_train = [
+        ("uni", "bptt", 0, "--bptt must be at least 1"),
+        ("uni", "bptt", -5, "--bptt must be at least 1"),
+        ("ngram", "order", 0, "--order must be at least 1"),
+        ("ngram", "discount", 1.0, "--discount must lie in (0, 1)"),
+        ("ngram", "discount", 0.0, "--discount must lie in (0, 1)"),
+        ("ngram", "discount", "nan", "--discount must lie in (0, 1)"),
+        ("su", "succ", -1, "--succ must be at least 0"),
+        ("uni", "hidden", 0, "--hidden must be at least 1"),
+        ("uni", "embed", 0, "--embed must be at least 1"),
+        ("uni", "epochs", 0, "--epochs must be at least 1"),
+        ("bi", "streams", 0, "--streams must be at least 1"),
+    ]
+    for arch, flag, value, message in bad_train:
+        code, out, err = run(train + ["--arch", arch, "--" + flag, value])
         assert (code, out) == (1, ""), err
-        assert err == "usage error: --bptt must be at least 1\n"
+        assert err == "usage error: %s\n" % message
     assert not missing.exists()
 
 

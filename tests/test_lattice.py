@@ -224,6 +224,16 @@ def test_prune_keeps_best_path_and_respects_beam():
         prune(diamond(), -1.0)
 
 
+def test_prune_rejects_a_nan_beam():
+    # a NaN beam compares false with every posterior, so it would keep
+    # only the best path where no beam can drop more than 0.0 does
+    lat = random_dag_lattice(random.Random(3), list("abcde"))
+    assert len(lat.arcs) == 9
+    assert len(prune(lat, 1e9).arcs) == 9
+    with pytest.raises(ValueError):
+        prune(lat, float("nan"))
+
+
 def test_prune_drops_the_weak_diamond_branch():
     lat = diamond()
     tight = prune(lat, 0.1)

@@ -141,6 +141,18 @@ def test_su_with_zero_future_words_equals_uni():
         assert a == b
 
 
+def test_constructors_reject_non_positive_sizes():
+    vocab, _ = tiny_setup()
+    for make in (UniRnnlm, BiRnnlm, SuRnnlm):
+        for hidden, embed in ((0, 4), (8, 0), (-1, 4)):
+            with pytest.raises(ValueError):
+                make(vocab, hidden=hidden, embed=embed)
+    with pytest.raises(ValueError):
+        SuRnnlm(vocab, hidden=8, embed=4, succ=-1)
+    with pytest.raises(ValueError):
+        SuRnnlm(vocab, hidden=8, embed=4, succ=2, future_hidden=0)
+
+
 def test_su_window_validation():
     vocab, _ = tiny_setup()
     su = SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=1)

@@ -1,12 +1,17 @@
 import collections
+import gc
 import math
+import tracemalloc
 
 import pytest
 
+import oracles
 from lmkit.corpus import TokenizedCorpus, build_vocabulary
 from lmkit.ngram import ArpaModel, FormatError, load_arpa, save_arpa, train_kn
+from lmkit.synth import SyntheticLanguage, build_corpus_lines
 
 LINES = ["a b", "b a", "a b"]
+HAND = ["a b c a", "c a b", "b b a c", "a c c b a"]
 
 
 def bigram_setup(discount=0.75):
@@ -56,9 +61,8 @@ def test_bigram_model_agrees_with_direct_formula_everywhere():
 
 
 def test_conditionals_sum_to_one():
-    lines = ["a b c a", "c a b", "b b a c", "a c c b a"]
-    vocab = build_vocabulary(lines)
-    corpus = TokenizedCorpus.from_lines(vocab, lines)
+    vocab = build_vocabulary(HAND)
+    corpus = TokenizedCorpus.from_lines(vocab, HAND)
     model = train_kn(corpus, 3)
     support = model.support()
     hists = [(), (vocab.index["a"],), (vocab.index["c"],),
@@ -111,11 +115,14 @@ def test_arpa_round_trip_is_byte_identical(tmp_path):
     save_arpa(model, p1)
     back = load_arpa(p1, vocab)
     save_arpa(back, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    for gram, (lp, bow) in model.entries[2].items():
-        got_lp, got_bow = back.entries[2][gram]
-        assert got_lp == pytest.approx(lp, abs=5e-8)
-        assert (bow is None) == (got_bow is None)
+    assert (tmp_path / "m1.arpa").read_bytes() == (tmp_path / "m2.arpa").read_bytes()
+    for m in (1, 2):
+        assert back.entries[m].keys() == model.entries[m].keys()
+        assert back.bows[m].keys() == model.bows[m].keys()
+        for gram, lp in model.entries[m].items():
+            assert back.entries[m][gram] == pytest.approx(lp, abs=5e-8)
+        for gram, bow in model.bows[m].items():
+            assert back.bows[m][gram] == pytest.approx(bow, abs=5e-8)
 
 
 def _load_text(tmp_path, text):
@@ -135,6 +142,7 @@ def test_malformed_arpa_reports_line_numbers(tmp_path):
         ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\tzzz\n\\end\\\n", "line 5"),
         ("\\data\\\nngram 1=1\n\n\\1-grams:\nbad\ta\n\\end\\\n", "line 5"),
         ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.1\ta\n\\end\\\n", "line 6"),
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n-0.3\ta\n\\end\\\n", "line 6"),
     ]
     for text, where in cases:
         with pytest.raises(FormatError) as err:
@@ -144,7 +152,62 @@ def test_malformed_arpa_reports_line_numbers(tmp_path):
 
 def test_support_lists_unigram_words():
     vocab, _, model = bigram_setup()
-    got = sorted(model.support())
     want = sorted({vocab.index["a"], vocab.index["b"], vocab.sent_end,
                    vocab.oov, vocab.sent_begin})
-    assert got == want
+    assert model.support() == want
+
+
+def _bits(table):
+    return {gram: value.hex() for gram, value in table.items()}
+
+
+def _assert_matches_reference(corpus, order, discount):
+    """train_kn's tables against the dictionary estimator's, key for key and
+    bit for bit."""
+    model = train_kn(corpus, order, discount)
+    want = oracles.train_kn(corpus, order, discount)
+    for m in range(1, order + 1):
+        assert _bits(model.entries[m]) == {g: lp.hex() for g, (lp, _) in want[m].items()}, m
+        assert _bits(model.bows[m]) == {g: bow.hex() for g, (_, bow) in want[m].items()
+                                        if bow is not None}, m
+    return model
+
+
+# one-word sentences are three tokens long, so order 4 has no 4-grams
+SHORT = ["a", "b", "a", "c"]
+
+
+@pytest.mark.parametrize("lines", [LINES, HAND, SHORT], ids=["bigram", "hand", "short"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("discount", [0.3, 0.75, 0.9])
+def test_tables_match_dictionary_estimator_on_hand_corpora(lines, order, discount):
+    vocab = build_vocabulary(lines)
+    model = _assert_matches_reference(TokenizedCorpus.from_lines(vocab, lines), order, discount)
+    if lines is SHORT and order == 4:
+        assert len(model.entries[3]) and not model.entries[4]
+
+
+@pytest.mark.parametrize("tokens,order,seed", [(3000, 1, 21), (3000, 2, 22), (8000, 4, 23),
+                                               (20000, 3, 24)])
+@pytest.mark.parametrize("discount", [0.3, 0.75, 0.9])
+def test_tables_match_dictionary_estimator_on_synthetic_corpora(tokens, order, seed, discount):
+    lines = build_corpus_lines(SyntheticLanguage(), seed, tokens)
+    vocab = build_vocabulary(lines, 15)
+    _assert_matches_reference(TokenizedCorpus.from_lines(vocab, lines), order, discount)
+
+
+def test_estimation_peak_stays_under_twice_the_model():
+    # the dictionary estimator held several copies of the n-gram set and
+    # peaked at about 2.6 times the model it returned
+    lines = build_corpus_lines(SyntheticLanguage(), 31, 20000)
+    corpus = TokenizedCorpus.from_lines(build_vocabulary(lines, 15), lines)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = train_kn(corpus, 3)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.entries[3]) > 10000
+    assert peak - base < 2 * (size - base)
