@@ -87,22 +87,43 @@ def _apply_config(argv):
 # ---------------------------------------------------------------------------
 # shared flag groups
 
+def _finite(text):
+    """The value of a float flag; NaN and the infinities are usage errors,
+    raised while the command line is parsed, before any input is read."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number, got %r" % text)
+    return value
+
+
+def _positive(text):
+    """The value of a float flag that must also be above 0."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError("must be a positive number, got %r" % text)
+    return value
+
+
 def _add_interp_flags(sp, lambda1=0.75, lambda2=0.3, alpha=0.7):
-    sp.add_argument("--lambda1", type=float, default=lambda1,
+    sp.add_argument("--lambda1", type=_finite, default=lambda1,
                     help="weight of the first recurrent stream in the linear "
                          "mix (default %(default)s)")
-    sp.add_argument("--lambda2", type=float, default=lambda2,
+    sp.add_argument("--lambda2", type=_finite, default=lambda2,
                     help="weight of the succeeding-word stream in the "
                          "log-linear mix (default %(default)s)")
-    sp.add_argument("--alpha", type=float, default=alpha,
+    # smooth keeps the argmax only for alpha > 0
+    sp.add_argument("--alpha", type=_positive, default=alpha,
                     help="softmax smoothing factor for succeeding-word "
                          "scores (default %(default)s)")
 
 
 def _add_scale_flags(sp):
-    sp.add_argument("--acoustic-scale", type=float, default=1.0,
+    sp.add_argument("--acoustic-scale", type=_finite, default=1.0,
                     help="weight on acoustic scores (default %(default)s)")
-    sp.add_argument("--lm-scale", type=float, default=1.0,
+    sp.add_argument("--lm-scale", type=_finite, default=1.0,
                     help="weight on language model scores (default %(default)s)")
 
 
@@ -217,6 +238,7 @@ def cmd_train(args):
 def cmd_ppl(args):
     if args.model is None and args.arpa is None:
         raise UsageError("need --model and/or --arpa")
+    cfg = _interp_config(args)
     model = _load_rnnlm(args.model) if args.model else None
     if model is not None and args.vocab:
         raise UsageError("the model file carries its vocabulary, drop --vocab")
@@ -234,7 +256,6 @@ def cmd_ppl(args):
         raise UsageError("linear interpolation needs a normalized "
                          "left-to-right model, not %s" % model.arch)
 
-    cfg = _interp_config(args)
     test = corpus_mod.TokenizedCorpus.from_file(vocab, args.test)
     sentences = test.sentences
     # uni and su score the test set through bounded prefix tries, with the
@@ -266,6 +287,9 @@ def cmd_ppl(args):
 # nbest
 
 def cmd_nbest(args):
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    cfg = _interp_config(args)
     if args.lattice:
         lat = lattice_mod.load_slf(args.lattice)
         hyps = lattice_mod.nbest(lat, args.n, args.acoustic_scale,
@@ -279,7 +303,6 @@ def cmd_nbest(args):
                              "first-stage mix")
         arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
         su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
-        cfg = _interp_config(args)
         cfg.normalize_locally = args.normalize_locally
         lm_fn = lattice_mod.make_two_stage_scorer(arpa, uni, su, cfg,
                                                   args.alpha)
@@ -329,6 +352,9 @@ def cmd_rescore(args):
     global _WORKERS
     if args.ngram_approx < 1:
         raise UsageError("--ngram-approx must be at least 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    _interp_config(args)
     # NaN too: it would prune all but the best path
     if args.beam is not None and not args.beam >= 0:
         raise UsageError("--beam must be at least 0")
@@ -337,7 +363,6 @@ def cmd_rescore(args):
         raise lattice_mod.LatticeError("no .slf files in %s" % args.lattices)
     uni = _load_rnnlm(args.model, want=("uni",))
     su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
-    _interp_config(args)
     refs = None
     if args.refs:
         refs = {}
@@ -401,7 +426,7 @@ def cmd_tune(args):
     test = corpus_mod.TokenizedCorpus.from_file(uni.vocab, args.test)
     pair_lists = [list(zip(arpa.sentence_word_logprobs(ids), lp_b))
                   for ids, lp_b in zip(test.sentences, uni.word_logprobs(test.sentences))]
-    lam1, ppl1, table = interpolate.tune_linear(pair_lists)
+    lam1, ppl1, table = interpolate.tune(pair_lists, interpolate.linear_logprob)
     for lam, val in table:
         print("lambda1 %.2f ppl %.4f" % (lam, val))
     print("best lambda1 %.2f ppl %.4f" % (lam1, ppl1))
@@ -412,20 +437,9 @@ def cmd_tune(args):
     if args.lambda1 is not None:
         lam1 = args.lambda1
     # remix cheaply: freeze the linear stage, grid the log-linear weight
-    flat_lin = []
-    flat_su = []
-    for sent_pairs, lp_s in zip(pair_lists, su.word_logprobs(test.sentences, args.alpha)):
-        for (a, b), s in zip(sent_pairs, lp_s):
-            flat_lin.append(interpolate.linear_logprob(a, b, lam1))
-            flat_su.append(s)
-
-    def pseudo_at(lam2):
-        total = 0.0
-        for a, b in zip(flat_lin, flat_su):
-            total += interpolate.loglinear_score(a, b, lam2)
-        return math.exp(-total / len(flat_lin))
-
-    lam2, ppl2, table2 = interpolate.grid_search(pseudo_at)
+    su_pairs = [[(interpolate.linear_logprob(a, b, lam1), s) for (a, b), s in zip(sent, lp_s)]
+                for sent, lp_s in zip(pair_lists, su.word_logprobs(test.sentences, args.alpha))]
+    lam2, ppl2, table2 = interpolate.tune(su_pairs, interpolate.loglinear_score)
     for lam, val in table2:
         print("lambda2 %.2f pseudo_ppl %.4f" % (lam, val))
     print("best lambda2 %.2f pseudo_ppl %.4f (lambda1 %.2f)"
@@ -501,14 +515,14 @@ def _build_parser():
     sp.add_argument("--seed", type=int,
                     help="initialization seed (default 0)")
     sp.add_argument("--epochs", type=int, help="training epochs (default 8)")
-    sp.add_argument("--lr", type=float, help="learning rate (default 0.5)")
-    sp.add_argument("--lr-decay", type=float,
+    sp.add_argument("--lr", type=_positive, help="learning rate (default 0.5)")
+    sp.add_argument("--lr-decay", type=_positive,
                     help="per-epoch rate decay (default 0.9)")
     sp.add_argument("--streams", type=int,
                     help="parallel text streams per batch (default 8)")
     sp.add_argument("--bptt", type=int,
                     help="truncated backprop span (default 32)")
-    sp.add_argument("--clip", type=float,
+    sp.add_argument("--clip", type=_positive,
                     help="global gradient norm cap (default 5.0)")
     sp.set_defaults(func=cmd_train)
 
@@ -582,11 +596,11 @@ def _build_parser():
                     help="uni model file")
     sp.add_argument("--su-model", metavar="FILE",
                     help="also tune the log-linear weight of this model")
-    sp.add_argument("--lambda1", type=float,
+    sp.add_argument("--lambda1", type=_finite,
                     help="with --su-model, grid the log-linear weight at this "
                          "linear weight instead of the tuned one (the "
                          "lambda1 grid is still printed)")
-    sp.add_argument("--alpha", type=float, default=0.7,
+    sp.add_argument("--alpha", type=_positive, default=0.7,
                     help="smoothing factor for succeeding-word scores "
                          "(default %(default)s)")
     sp.set_defaults(func=cmd_tune)

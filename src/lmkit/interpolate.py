@@ -94,8 +94,10 @@ def grid_search(eval_fn, grid=DEFAULT_GRID):
     return best_lam, best_val, table
 
 
-def tune_linear(pair_lists, grid=DEFAULT_GRID):
-    """Pick the linear weight that minimizes perplexity.
+def tune(pair_lists, mix, grid=DEFAULT_GRID):
+    """Pick the weight that minimizes the (pseudo-)perplexity of the mixed
+    scores mix(lp_a, lp_b, lam): linear_logprob for the linear weight,
+    loglinear_score for the log-linear one.
 
     pair_lists holds, per sentence, the (lp_a, lp_b) natural-log score pairs
     for every predicted token, so each grid point is a cheap re-mix rather
@@ -108,7 +110,7 @@ def tune_linear(pair_lists, grid=DEFAULT_GRID):
     def ppl_at(lam):
         total = 0.0
         for lp_a, lp_b in flat:
-            total += linear_logprob(lp_a, lp_b, lam)
+            total += mix(lp_a, lp_b, lam)
         return math.exp(-total / n)
 
     return grid_search(ppl_at, grid)

@@ -19,21 +19,24 @@ model work over frontiers.  A state is one record per (node, history,
 window) key, updated in place: an arrival that improves it only records
 the state it came from and the word it took.  A node is ready once all of
 its predecessors have relaxed.  When the walk reaches a node whose model
-work is not done, that work is done for every ready node at once: each of
-their states interns its word sequence as one int, (parent sequence id,
-word id) -> sequence id, the surviving arrival of each state is advanced
-in one model call over the distinct sequences the cache lacks, their
-transitions (state, arc, window) are collected in relaxation order, and
-the distinct (sequence id, window) distributions the cache lacks come from
-one more call.  Each node's transitions then relax in that order with a
-strict comparison, as a per-arc loop would.  The model's stacked calls are
-row exact (a row's bytes never depend on the other rows of its batch), so
-the output depends neither on how rows were batched nor on whether a cache
-was used.  Without a cache, one cache for the call alone still shares
-vectors within the lattice; a cache passed in is bounded (CACHE_ENTRIES)
-and dropped whole between lattices once it outgrows the bound.  A pass
-that expands a lattice into more than MAX_STATES states fails with a
-LatticeError rather than exhaust memory.
+work is not done, that work is done for every ready node at once, through
+one memo fill per kind of row: each state interns its word sequence as
+one int, (parent sequence id, word id) -> sequence id, and the hidden
+vectors of the sequences the cache lacks come from one advance call on
+their parents' vectors; then the transitions (state, arc, window) are
+collected in relaxation order, and the distributions of the (sequence id,
+window) keys the cache lacks come from one output_dist call.  States hold
+no vectors: every vector and distribution is read from the cache, where
+the empty sequence's vector sits under id -1.  Each node's transitions
+then relax in that order with a strict comparison, as a per-arc loop
+would.  The model's stacked calls are row exact (a row's bytes never
+depend on the other rows of its batch), so the output depends neither on
+how rows were batched nor on whether a cache was used.  Without a cache,
+one cache for the call alone still shares vectors within the lattice; a
+cache passed in is bounded (CACHE_ENTRIES) and dropped whole between
+lattices once it outgrows the bound.  A pass that expands a lattice into
+more than MAX_STATES states fails with a LatticeError rather than exhaust
+memory.
 
 States are numbered as the walk reaches their nodes, so the transitions
 come out in (start, arc, end) order with every arc running from a lower to
@@ -504,15 +507,18 @@ class ProbCache:
     lattice's entries, however many lattices pass through it.  The hit and
     miss counters keep counting across a drop.
 
-    Misses are computed in batches, one per frontier of the walk (the nodes
-    whose predecessors have all relaxed), and which rows share a batch
-    depends on what the cache already held; the model's stacked calls are
-    row exact (row i has the bytes of the call on row i alone), so a vector
-    has the same bytes from a hit, a batch of misses, or an uncached run,
-    and cached and uncached rescoring write the same lattices.  Hidden
-    vectors are looked up once per distinct word sequence in a frontier.
+    Rescoring holds every vector and distribution it uses here, the empty
+    sequence's vector too (id -1, stored as each call starts), and fills
+    both memos the same way: per frontier of the walk (the nodes whose
+    predecessors have all relaxed), the keys the memo lacks are computed
+    in one model call.  Which rows share a call depends on what the cache
+    already held; the model's stacked calls are row exact (row i has the
+    bytes of the call on row i alone), so a vector has the same bytes
+    from a hit, a batch of misses, or an uncached run, and cached and
+    uncached rescoring write the same lattices.  Hidden vectors are
+    looked up once per distinct word sequence in a frontier.
     Distributions are looked up once per transition, and a key repeated
-    within one frontier's batch is a hit after its first miss, as in a
+    within one frontier's call is a hit after its first miss, as in a
     one-at-a-time loop."""
 
     def __init__(self):
@@ -527,60 +533,21 @@ class ProbCache:
         self.dist = {}
 
 
-def _stack(rows):
-    # np.stack's checks cost more than the model call on a frontier's few rows
-    return np.concatenate(rows).reshape(len(rows), -1)
-
-
-def _fill_hidden(model, cache, groups):
-    """Give every state its hidden vector: its parent's vector advanced by
-    the word that reached it.  `groups` maps each sequence id to its states;
-    one model call computes the sequences the cache lacks."""
-    todo = []
-    for seq, group in groups.items():
-        h = cache.h.get(seq)
-        if h is None:
-            todo.append(group)
-        else:
-            for st in group:
-                st.h = h
-    cache.h_hits += len(groups) - len(todo)
-    cache.h_misses += len(todo)
-    if not todo:
-        return
+def _fill(memo, wanted, call):
+    """Store call(vector, arg) in `memo` under every key of `wanted` that it
+    lacks, where `wanted` maps each key to its (hidden vector, word id or
+    window) pair; the missing keys go through one row-exact call.  Returns
+    how many keys were computed."""
+    todo = [key for key in wanted if key not in memo]
     if len(todo) == 1:
         # a lone row needs no batch assembly
-        st = todo[0][0]
-        hs = (model.advance(st.prev.h, st.word),)
-    else:
-        hs = model.advance(_stack([group[0].prev.h for group in todo]),
-                           [group[0].word for group in todo])
-    for group, h in zip(todo, hs):
-        cache.h[group[0].seq] = h
-        for st in group:
-            st.h = h
-
-
-def _output_dists(model, cache, keys, users, lookups, alpha):
-    """The output distribution of every distinct (sequence id, window) key
-    in `keys`, computed from the hidden vector of the matching state in
-    `users`, in one model call over the keys the cache lacks.  `lookups`
-    transitions asked for these keys."""
-    memo = cache.dist
-    dists = [memo.get(key) for key in keys]
-    todo = [i for i, dist in enumerate(dists) if dist is None]
-    cache.dist_hits += lookups - len(todo)
-    cache.dist_misses += len(todo)
-    if len(todo) == 1:
-        i = todo[0]
-        dists[i] = memo[keys[i]] = model.output_dist(
-            users[i].h, keys[i][1] if model.k else None, alpha)
+        memo[todo[0]] = call(*wanted[todo[0]])
     elif todo:
-        wins = np.array([keys[i][1] for i in todo]) if model.k else None
-        rows = model.output_dist(_stack([users[i].h for i in todo]), wins, alpha)
-        for i, dist in zip(todo, rows):
-            dists[i] = memo[keys[i]] = dist
-    return dists
+        hs, args = zip(*map(wanted.get, todo))
+        # np.stack's checks cost more than the model call on a frontier's few rows
+        rows = call(np.concatenate(hs).reshape(len(todo), -1), list(args))
+        memo.update(zip(todo, rows))
+    return len(todo)
 
 
 def _future_sets(lat, word_ids, k, pad_id):
@@ -619,18 +586,17 @@ class _State:
     """The best arrival so far at one (node, history, window) key, updated
     in place when a better one arrives: `prev` is the state it came from
     and `word` the word id of the arc it took.  Once every predecessor of
-    the node has relaxed, the state gets its interned sequence id `seq`
-    and its hidden vector h; `id` is its output node id, given when the
-    walk reaches the node."""
+    the node has relaxed, the state gets its interned sequence id `seq`,
+    which keys its hidden vector in the cache; `id` is its output node id,
+    given when the walk reaches the node."""
 
-    __slots__ = ("g", "prev", "word", "seq", "h", "id")
+    __slots__ = ("g", "prev", "word", "seq", "id")
 
     def __init__(self, g, prev, word):
         self.g = g
         self.prev = prev
         self.word = word
         self.seq = None
-        self.h = None
         self.id = None
 
 
@@ -671,10 +637,12 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
                 groups.setdefault(arc[2], []).append(arc)
             by_word.append(groups)
 
-    # the empty sequence, whose vector the sentence-begin token advances;
-    # its id -1 is never interned
+    # the empty sequence, whose vector the sentence-begin token advances,
+    # keeps it in the cache under id -1, which is never interned
+    hidden, dists = cache.h, cache.dist
+    hidden[-1] = model.zero_state()
     root = _State(None, None, None)
-    root.seq, root.h = -1, model.zero_state()
+    root.seq = -1
     first = (vocab.sent_begin,)
     hist0 = first if no_merge else _trunc_hist(first, n_hist)
     final_key = (None, None)
@@ -683,38 +651,38 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
     created = 1
     remaining = [len(aids) for aids in lat.in_arcs]
     ready = [lat.initial]   # nodes whose predecessors have all relaxed
-    pending = {}            # node -> (sorted states, transitions, dists)
+    pending = {}            # node -> (sorted states, transitions)
     origin = []
     transitions = []
+
+    def output(h, window):
+        return model.output_dist(h, window if k else None, alpha)
 
     for u in lat.topo:
         # the final node has no arcs to follow, so its state needs no vector
         if u == final:
             continue
         if u not in pending:
-            # model work for the whole ready frontier: every transition
-            # (state, arc, window) of its nodes in relaxation order, one
-            # advance call and one output_dist call
-            frontier = []
-            groups = {}   # sequence id -> the states that consumed it
-            for v in ready:
-                here = sorted(states[v].items())
+            # model work for the whole ready frontier: one advance call for
+            # the word sequences its states end, then every transition
+            # (state, arc, window) of its nodes in relaxation order, and
+            # one output_dist call for their distributions
+            frontier = [(v, sorted(states[v].items())) for v in ready]
+            ready = []
+            wanted = {}
+            for _, here in frontier:
                 for _, st in here:
                     st.seq = seqs.setdefault((st.prev.seq, st.word), len(seqs))
-                    groups.setdefault(st.seq, []).append(st)
-                frontier.append((v, here))
-            ready = []
-            _fill_hidden(model, cache, groups)
-            # the distinct (sequence id, window) keys of the frontier, and
-            # for each the state whose vector it uses
-            keys = []
-            users = []
-            index = {}
-            prepared = []
+                    wanted[st.seq] = (hidden[st.prev.seq], st.word)
+            n = _fill(hidden, wanted, model.advance)
+            cache.h_hits += len(wanted) - n
+            cache.h_misses += n
+            wanted = {}
             n_moves = 0
             for v, here in frontier:
                 moves = []
                 for (hist, fut), st in here:
+                    h = hidden[st.seq]
                     if fut:
                         state_arcs = by_word[v].get(fut[0], ())
                         tail = fut[1:]
@@ -730,24 +698,20 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
                         cands = by_prefix[end].get(tail, ()) if fut else futures[end]
                         for fut_v in cands:
                             dkey = (st.seq, fut_v)
-                            i = index.get(dkey)
-                            if i is None:
-                                i = index[dkey] = len(keys)
-                                keys.append(dkey)
-                                users.append(st)
+                            wanted[dkey] = (h, fut_v)
                             skey = final_key if end == final else (hist_v, fut_v)
-                            moves.append((st, arc, i, skey))
+                            moves.append((st, arc, dkey, skey))
                 n_moves += len(moves)
-                prepared.append((v, here, moves))
-            dists = _output_dists(model, cache, keys, users, n_moves, alpha)
-            for v, here, moves in prepared:
-                pending[v] = (here, moves, dists)
-        here, moves, dists = pending.pop(u)
+                pending[v] = (here, moves)
+            n = _fill(dists, wanted, output)
+            cache.dist_hits += n_moves - n
+            cache.dist_misses += n
+        here, moves = pending.pop(u)
         for skey, st in here:
             st.id = len(origin)
             origin.append((u,) + skey)
-        for st, (aid, end, w, slot, pen, acw, old_lm), i, skey in moves:
-            p = dists[i].item(slot)
+        for st, (aid, end, w, slot, pen, acw, old_lm), dkey, skey in moves:
+            p = dists[dkey].item(slot)
             new_lm = combine(old_lm, (math.log(p) if p > 0.0 else NEG_INF) - pen)
             g = st.g + acw + lm_scale * new_lm
             dst = states[end].get(skey)

@@ -439,7 +439,7 @@ def test_criterion_09_model_files_round_trip(arpa, vocab, confusion,
         text = write_slf(confusion[0].lattice)
         assert write_slf(parse_slf(text)) == text
         bad = str(tmp_path / "bad.arpa")
-        with open(bad, "w") as f:
+        with open(bad, "w", encoding="utf-8") as f:
             f.write("\\data\\\nngram 1=1\n\n\\1-grams:\nbad\ta\n\\end\\\n")
         try:
             load_arpa(bad, vocab)

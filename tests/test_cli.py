@@ -61,7 +61,7 @@ def test_fixture_layout(ws):
     slfs = sorted(os.listdir(fx / "lattices"))
     assert len(slfs) == 12
     assert slfs[0] == "utt0000.slf"
-    assert len((fx / "refs.txt").read_text().splitlines()) == 12
+    assert len((fx / "refs.txt").read_text(encoding="utf-8").splitlines()) == 12
 
 
 def test_fixtures_are_deterministic(ws, tmp_path):
@@ -200,9 +200,52 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
         ("uni", "embed", 0, "--embed must be at least 1"),
         ("uni", "epochs", 0, "--epochs must be at least 1"),
         ("bi", "streams", 0, "--streams must be at least 1"),
+        ("uni", "lr", 0, "argument --lr: must be a positive number, got '0'"),
+        ("uni", "lr", -0.5, "argument --lr: must be a positive number, got '-0.5'"),
+        ("uni", "lr-decay", "nan", "argument --lr-decay: must be a finite number, got 'nan'"),
+        ("uni", "clip", -1, "argument --clip: must be a positive number, got '-1'"),
+        ("su", "clip", "nan", "argument --clip: must be a finite number, got 'nan'"),
+        ("bi", "clip", "inf", "argument --clip: must be a finite number, got 'inf'"),
     ]
     for arch, flag, value, message in bad_train:
         code, out, err = run(train + ["--arch", arch, "--" + flag, value])
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: %s\n" % message
+    # scoring weights: NaN would be ranked, and alpha <= 0 loses the argmax
+    commands = {
+        "nbest": ["nbest", "--lattice", missing, "--model", missing, "--arpa", missing],
+        "rescore": ["rescore", "--lattices", missing, "--model", missing],
+        "ppl": ["ppl", "--test", missing, "--model", missing],
+        "tune": ["tune", "--test", missing, "--arpa", missing, "--model", missing],
+    }
+    finite = "must be a finite number, got 'nan'"
+    bad_scoring = [
+        ("nbest", "alpha", "nan", finite),
+        ("nbest", "alpha", 0, "must be a positive number, got '0'"),
+        ("nbest", "acoustic-scale", "nan", finite),
+        ("nbest", "lm-scale", "nan", finite),
+        ("nbest", "lambda1", "nan", finite),
+        ("rescore", "alpha", "nan", finite),
+        ("rescore", "alpha", -1, "must be a positive number, got '-1'"),
+        ("rescore", "lm-scale", "inf", "must be a finite number, got 'inf'"),
+        ("ppl", "alpha", "nan", finite),
+        ("ppl", "lambda2", "nan", finite),
+        ("tune", "alpha", "nan", finite),
+        ("tune", "alpha", 0, "must be a positive number, got '0'"),
+        ("tune", "lambda1", "nan", finite),
+    ]
+    for command, flag, value, message in bad_scoring:
+        code, out, err = run(commands[command] + ["--" + flag, value])
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: argument --%s: %s\n" % (flag, message)
+    for argv, message in (
+            (commands["nbest"] + ["--lambda1", 2], "lambda1 must lie in [0, 1], got 2"),
+            (commands["ppl"] + ["--lambda2", -1], "lambda2 must lie in [0, 1], got -1"),
+            (commands["rescore"] + ["--lambda1", 1.5], "lambda1 must lie in [0, 1], got 1.5"),
+            (commands["nbest"] + ["--n", 0], "--n must be at least 1"),
+            (commands["rescore"] + ["--jobs", 0], "--jobs must be at least 1"),
+            (commands["rescore"] + ["--jobs", -1], "--jobs must be at least 1")):
+        code, out, err = run(argv)
         assert (code, out) == (1, ""), err
         assert err == "usage error: %s\n" % message
     assert not missing.exists()
@@ -211,9 +254,9 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
 def test_empty_reference_exits_2(ws, tmp_path):
     fx = ws / "fx"
     refs = tmp_path / "refs.txt"
-    lines = (fx / "refs.txt").read_text().splitlines()
+    lines = (fx / "refs.txt").read_text(encoding="utf-8").splitlines()
     lines[3] = lines[3].split()[0] + "  "
-    refs.write_text("\n".join(lines) + "\n")
+    refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(["rescore", "--lattices", fx / "lattices",
                           "--model", ws / "uni.model", "--refs", refs])
     assert (code, out) == (2, ""), err
@@ -223,14 +266,14 @@ def test_empty_reference_exits_2(ws, tmp_path):
 def test_data_errors_exit_2(ws, tmp_path):
     fx = ws / "fx"
     garbage = tmp_path / "garbage.arpa"
-    garbage.write_text("this is not an arpa file\n")
+    garbage.write_text("this is not an arpa file\n", encoding="utf-8")
     bad_slf_dir = tmp_path / "lat"
     bad_slf_dir.mkdir()
-    (bad_slf_dir / "x.slf").write_text("N=1\tL=0\n")
+    (bad_slf_dir / "x.slf").write_text("N=1\tL=0\n", encoding="utf-8")
     empty_dir = tmp_path / "none"
     empty_dir.mkdir()
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("no equals sign here\n")
+    bad_cfg.write_text("no equals sign here\n", encoding="utf-8")
     bad = [
         ["ppl", "--test", tmp_path / "missing.txt",
          "--model", ws / "uni.model"],
@@ -253,7 +296,7 @@ def _bad_model(ws, path, case):
     header, tensors = nn.load_model(ws / "uni.model")
     header.pop("tensors")
     if case == "bad magic":
-        path.write_text("this is not a model\n")
+        path.write_text("this is not a model\n", encoding="utf-8")
         return
     if case == "short read":
         path.write_bytes(raw[:-9])
@@ -301,10 +344,11 @@ def test_data_errors_name_the_file_and_line(ws, tmp_path):
     lat_dir = tmp_path / "lat"
     lat_dir.mkdir()
     for name in ("utt0000.slf", "utt0001.slf"):
-        (lat_dir / name).write_text((fx / "lattices" / name).read_text())
-    text = (fx / "lattices" / "utt0002.slf").read_text()
+        (lat_dir / name).write_text((fx / "lattices" / name).read_text(encoding="utf-8"),
+                                    encoding="utf-8")
+    text = (fx / "lattices" / "utt0002.slf").read_text(encoding="utf-8")
     bad = lat_dir / "utt0002.slf"
-    bad.write_text(text.replace("S=0\t", "S=999\t", 1))
+    bad.write_text(text.replace("S=0\t", "S=999\t", 1), encoding="utf-8")
     line = next(i for i, l in enumerate(text.splitlines(), 1) if "S=0\t" in l)
     for jobs in (1, 2):
         code, _, err = run(["rescore", "--lattices", lat_dir, "--model", ws / "uni.model",
@@ -399,7 +443,8 @@ def test_rescore_expansion_budget_exits_2(ws, tmp_path, monkeypatch):
     lat_dir = tmp_path / "lat"
     lat_dir.mkdir()
     for name in ("utt0000.slf", "utt0001.slf"):
-        (lat_dir / name).write_text((fx / "lattices" / name).read_text())
+        (lat_dir / name).write_text((fx / "lattices" / name).read_text(encoding="utf-8"),
+                                    encoding="utf-8")
     argv = ["rescore", "--lattices", lat_dir, "--model", ws / "uni.model",
             "--su-model", ws / "su1.model"]
     ok = run_ok(argv)
@@ -425,11 +470,11 @@ def test_rescore_expansion_budget_exits_2(ws, tmp_path, monkeypatch):
 
 def test_non_finite_scores_exit_2(ws, tmp_path):
     fx = ws / "fx"
-    text = (fx / "lattices" / "utt0000.slf").read_text()
+    text = (fx / "lattices" / "utt0000.slf").read_text(encoding="utf-8")
     for key, value in (("a", "nan"), ("l", "inf"), ("l", "+inf"), ("a", "NaN")):
         slf, line = _with_field(text, key, value)
         path = tmp_path / "bad.slf"
-        path.write_text(slf)
+        path.write_text(slf, encoding="utf-8")
         code, out, err = run(["nbest", "--lattice", path])
         assert code == 2 and out == "", err
         assert err == "data error: %s: line %d: field %s is not finite: %r\n" % (
@@ -437,18 +482,18 @@ def test_non_finite_scores_exit_2(ws, tmp_path):
     # -inf is a zero probability: the lm floor takes it, the path still ranks
     slf, _ = _with_field(text, "l", "-inf")
     path = tmp_path / "zero.slf"
-    path.write_text(slf)
+    path.write_text(slf, encoding="utf-8")
     run_ok(["nbest", "--lattice", path])
     nb = tmp_path / "list.nbest"
-    nb.write_text("1.0\t2.0\t-1.0\ta b\nnan\t2.0\t-1.0\ta c\n")
+    nb.write_text("1.0\t2.0\t-1.0\ta b\nnan\t2.0\t-1.0\ta c\n", encoding="utf-8")
     code, _, err = run(["nbest", "--from-list", nb])
     assert code == 2
     assert err == "data error: %s: line 2: score is not finite\n" % nb
-    arpa_lines = (fx / "baseline.arpa").read_text().splitlines()
+    arpa_lines = (fx / "baseline.arpa").read_text(encoding="utf-8").splitlines()
     n = next(i for i, l in enumerate(arpa_lines) if l.startswith("\\1-grams:")) + 1
     arpa_lines[n] = "\t".join(["nan"] + arpa_lines[n].split("\t")[1:])
     arpa = tmp_path / "nan.arpa"
-    arpa.write_text("\n".join(arpa_lines) + "\n")
+    arpa.write_text("\n".join(arpa_lines) + "\n", encoding="utf-8")
     code, _, err = run(["ppl", "--test", fx / "test.txt", "--arpa", arpa,
                         "--vocab", fx / "vocab.txt"])
     assert code == 2
@@ -500,7 +545,7 @@ def test_ppl_labels_and_identities(ws, tmp_path):
     assert "pseudo_ppl:" in out_two
     report = tmp_path / "rep.txt"
     out_rep = run_ok(base + ["--model", ws / "uni.model", "--report", report])
-    text = report.read_text().splitlines()
+    text = report.read_text(encoding="utf-8").splitlines()
     assert text[:4] == out_rep.splitlines()
     n_sent = int(text[0].split()[1])
     assert len(text) == 4 + n_sent
@@ -522,7 +567,7 @@ def test_ppl_two_stage_matches_step_by_step_walk(ws, tmp_path):
                   "--arpa", fx / "baseline.arpa", "--su-model", ws / "su1.model",
                   "--lambda1", 0.6, "--lambda2", 0.25, "--alpha", 0.7,
                   "--report", tmp_path / "rep.txt"])
-    rows = (tmp_path / "rep.txt").read_text().splitlines()[4:]
+    rows = (tmp_path / "rep.txt").read_text(encoding="utf-8").splitlines()[4:]
     assert len(rows) == len(test.sentences)
     for ids, row in zip(test.sentences, rows):
         want = []
@@ -583,7 +628,7 @@ def test_ppl_report_and_tune_bytes_match_pinned_hashes(ws, tmp_path, case):
     if argv[0] == "ppl":
         report = tmp_path / "rep.txt"
         run_ok(argv + ["--report", report])
-        text = report.read_text()
+        text = report.read_text(encoding="utf-8")
     else:
         text = run_ok(argv)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SCORING_SHA256[case]
@@ -664,7 +709,7 @@ def test_nbest_extract_and_rerank(ws, tmp_path):
     nb = tmp_path / "utt.nbest"
     out = run_ok(["nbest", "--lattice", fx / "lattices" / "utt0000.slf",
                   "--n", 5, "--out", nb])
-    rows = nb.read_text().splitlines()
+    rows = nb.read_text(encoding="utf-8").splitlines()
     assert len(rows) == 2          # a sausage with one fork has two paths
     assert out.strip() == rows[0]
     totals = [float(r.split("\t")[0]) for r in rows]
@@ -673,7 +718,7 @@ def test_nbest_extract_and_rerank(ws, tmp_path):
                    "--arpa", fx / "baseline.arpa",
                    "--su-model", ws / "su1.model", "--normalize-locally",
                    "--out", tmp_path / "rr.nbest"])
-    rows2 = (tmp_path / "rr.nbest").read_text().splitlines()
+    rows2 = (tmp_path / "rr.nbest").read_text(encoding="utf-8").splitlines()
     assert len(rows2) == 2
     assert {r.split("\t")[3] for r in rows2} == {r.split("\t")[3] for r in rows}
     assert out2.strip() == rows2[0]
@@ -700,7 +745,7 @@ def test_config_file_sets_defaults_but_flags_win(ws, tmp_path):
     fx = ws / "fx"
     cfg = tmp_path / "train.cfg"
     cfg.write_text("hidden=12\nembed=8\nseed=7\n"
-                   "epochs=2\nstreams=4\nbptt=16  # span\n\n")
+                   "epochs=2\nstreams=4\nbptt=16  # span\n\n", encoding="utf-8")
     run_ok(["--config", cfg, "train", "--arch", "uni",
             "--train", fx / "train.txt", "--vocab", fx / "vocab.txt",
             "--model-out", tmp_path / "cfg.model"])

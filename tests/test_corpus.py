@@ -76,7 +76,7 @@ def test_vocab_save_load_round_trip(tmp_path):
 
 def test_vocab_load_requires_reserved_block(tmp_path):
     path = str(tmp_path / "vocab.txt")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("a\nb\n")
     with pytest.raises(CorpusError):
         Vocabulary.load(path)

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from lmkit.interpolate import (DEFAULT_GRID, InterpConfig, grid_search, linear,
-                               linear_logprob, loglinear_score, safe_ln, tune_linear,
-                               two_stage)
+                               linear_logprob, loglinear_score, safe_ln, tune, two_stage)
 
 
 def test_linear_endpoints_are_exact():
@@ -91,8 +90,9 @@ def test_tune_linear_matches_brute_force_rescan():
         [(0.01, 0.6), (0.7, 0.05)],
     ]
     flat = [p for sent in prob_lists for p in sent]
-    best_lam, best_ppl, table = tune_linear(
-        [[(math.log(a), math.log(b)) for a, b in sent] for sent in prob_lists])
+    best_lam, best_ppl, table = tune(
+        [[(math.log(a), math.log(b)) for a, b in sent] for sent in prob_lists],
+        linear_logprob)
     want = {}
     for lam in DEFAULT_GRID:
         total = sum(math.log((1 - lam) * a + lam * b) for a, b in flat)
@@ -105,4 +105,4 @@ def test_tune_linear_matches_brute_force_rescan():
 
 def test_tune_linear_rejects_empty_input():
     with pytest.raises(ValueError):
-        tune_linear([[]])
+        tune([[]], linear_logprob)

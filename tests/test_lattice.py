@@ -170,7 +170,9 @@ def test_nbest_file_round_trip(tmp_path):
         [(h.words, pytest.approx(h.ac, abs=1e-6), pytest.approx(h.lm, abs=1e-6))
          for h in hyps]
     write_nbest(back, str(tmp_path / "h2.nbest"))
-    assert open(path).read() == open(str(tmp_path / "h2.nbest")).read()
+    with open(path, encoding="utf-8") as f1, \
+            open(str(tmp_path / "h2.nbest"), encoding="utf-8") as f2:
+        assert f1.read() == f2.read()
 
 
 # ---- posteriors and pruning ----
@@ -645,6 +647,12 @@ def test_bounded_cache_drops_between_lattices_and_keeps_counting(monkeypatch):
         assert dist_hits + dist_misses == alone_total[2] + alone_total[3]
         assert h_hits >= alone_total[0] and dist_hits >= alone_total[2]
         assert dist_hits > alone_total[2]
+        # the exact (h_hits, h_misses, dist_hits, dist_misses) of the shared
+        # cache and of the fresh ones summed, so that a change to what counts
+        # as a hit or a miss shows here and not only in the benchmark's ratios
+        assert (counts(cache), tuple(alone_total)) == {
+            0: ((66, 287, 286, 287), (5, 348, 225, 348)),
+            3: ((50, 303, 585, 793), (5, 348, 582, 796))}[model.k]
 
 
 def test_combine_rule_validation():

@@ -127,7 +127,7 @@ def test_arpa_round_trip_is_byte_identical(tmp_path):
 
 def _load_text(tmp_path, text):
     path = str(tmp_path / "bad.arpa")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
     vocab = build_vocabulary(LINES)
     return lambda: load_arpa(path, vocab)
