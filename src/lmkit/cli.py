@@ -175,11 +175,17 @@ _TRAIN_MINIMA = (("order", 1), ("hidden", 1), ("embed", 1), ("succ", 0),
                  ("epochs", 1), ("streams", 1), ("bptt", 1))
 
 
-def cmd_train(args):
-    for name, least in _TRAIN_MINIMA:
+def _check_minima(args, minima):
+    """Reject an integer flag below its least value, before any input is
+    read or output written; an unset flag (None) passes."""
+    for name, least in minima:
         val = getattr(args, name)
         if val is not None and val < least:
-            raise UsageError("--%s must be at least %d" % (name, least))
+            raise UsageError("--%s must be at least %d" % (name.replace("_", "-"), least))
+
+
+def cmd_train(args):
+    _check_minima(args, _TRAIN_MINIMA)
     if args.discount is not None and not 0.0 < args.discount < 1.0:
         raise UsageError("--discount must lie in (0, 1)")
     lines = [line for line in corpus_mod.read_text(args.train).split("\n") if line.strip()]
@@ -371,6 +377,9 @@ def cmd_rescore(args):
             if len(parts) == 1:
                 raise corpus_mod.DataError("empty reference", line=ln, path=args.refs)
             if parts:
+                if parts[0] in refs:
+                    raise corpus_mod.DataError("duplicate reference for %s" % parts[0],
+                                               line=ln, path=args.refs)
                 refs[parts[0]] = parts[1:]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -449,7 +458,12 @@ def cmd_tune(args):
 # ---------------------------------------------------------------------------
 # fixtures
 
+_FIXTURE_MINIMA = (("train_tokens", 1), ("test_tokens", 1), ("shortlist", 1),
+                   ("order", 1), ("per_kind", 1))
+
+
 def cmd_fixtures(args):
+    _check_minima(args, _FIXTURE_MINIMA)
     os.makedirs(args.out, exist_ok=True)
     lang = synth.SyntheticLanguage()
     train_lines = synth.build_corpus_lines(lang, args.seed, args.train_tokens)
@@ -621,7 +635,7 @@ def _build_parser():
                     help="baseline n-gram order (default %(default)s)")
     sp.add_argument("--per-kind", type=int, default=80,
                     help="confusion utterances per kind (default %(default)s)")
-    sp.add_argument("--extra", type=float, default=0.8,
+    sp.add_argument("--extra", type=_finite, default=0.8,
                     help="score margin of the planted distractor "
                          "(default %(default)s)")
     sp.set_defaults(func=cmd_fixtures)

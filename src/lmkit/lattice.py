@@ -832,9 +832,11 @@ class TwoStageScorer:
         """Per-word scores of encoded sentences (begin and end tokens
         included): one list per sentence, one score per position after the
         begin token.  Both models score the sentences through the prefix
-        tries of models.prefix_tries, depth by depth, so a sentence scores
-        the same in any set, and every distinct (prefix, word, window) of a
-        trie is combined once."""
+        tries of models.prefix_tries: the recurrence steps once per depth
+        and the output layer runs once per budget-sized run of depths
+        (PrefixTrie.dists), its calls row exact, so a sentence scores the
+        same in any set; every distinct (prefix, word, window) of a trie is
+        combined once."""
         k = self.su.k if self.su is not None else 0
         out = []
         for run, trie in models.prefix_tries(seqs, k, self.uni.vocab.pad):

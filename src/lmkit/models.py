@@ -25,15 +25,17 @@ their own.
 
 uni and su score only through `advance` and `output_dist`, one state or a
 (B, H) stack whose row i has the bytes of the call on row i alone: per
-frontier in lattice rescoring, per depth of a `PrefixTrie` of up to
-`TRIE_SENTENCES` sentences.  Their calls are small (a few rows each), so
-they go straight to numpy: `advance` is one nn.gru_step, whose cell takes
-both gates through one product per z/r block, and `output_dist` runs the
-future unit (the `_context_rows` training uses, on nn.FRESH arrays), the
-output layer and `smooth` on (B, 1, .) row views, with no workspace.  bi
-scores one sentence at a time, through one workspace.  A word's log
-probability is `interpolate.safe_ln` of its output slot; `load_rnnlm`
-rejects non-finite weights, so no NaN reaches it.
+frontier in lattice rescoring; in a `PrefixTrie` of up to `TRIE_SENTENCES`
+sentences the recurrence steps once per depth and the output layer runs
+once per run of depths within `TRIE_DIST_ELEMENTS`.  Their calls are small
+(a few rows to a few hundred), so they go straight to numpy: `advance` is
+one nn.gru_step, whose cell takes both gates through one product per z/r
+block, and `output_dist` runs the future unit (the `_context_rows`
+training uses, on nn.FRESH arrays), the output layer and `smooth` on
+(B, 1, .) row views, with no workspace.  bi scores one sentence at a
+time, through one workspace, its output layer one call per sentence.  A
+word's log probability is `interpolate.safe_ln` of its output slot;
+`load_rnnlm` rejects non-finite weights, so no NaN reaches it.
 
 Training works a span at a time on the arrays corpus builds (its builders
 looked up as this module's attributes, where the tracer wraps them): a
@@ -67,10 +69,14 @@ from .corpus import DataError, Vocabulary, make_null_aligned_batches, make_splic
 from .evaluate import ordered_sum
 from .interpolate import safe_ln
 
-# sentences per prefix trie: a trie depth holds one output distribution per
-# distinct prefix (or prefix and window) of its sentences, so this bounds a
-# scorer's memory; any split gives the same bytes, the calls being row exact
+# sentences per prefix trie: a trie depth holds one hidden state and one
+# output row per distinct prefix (or prefix and window) of its sentences;
+# any split gives the same bytes, the calls being row exact
 TRIE_SENTENCES = 128
+# distribution elements (rows times output slots) one output_dist call of a
+# PrefixTrie may hold: it takes the rows of consecutive depths up to this,
+# and always one depth's, so this (or one depth) bounds a scorer's memory
+TRIE_DIST_ELEMENTS = 1 << 16
 
 
 def smooth(logits, alpha):
@@ -95,11 +101,12 @@ class Hyper:
 class PrefixTrie:
     """Encoded sentences (begin and end tokens included) merged into a prefix
     trie.  Per depth t, a model makes one `advance` over the distinct
-    prefixes ids[:t] and one `output_dist` over the distinct prefixes
-    (k = 0) or (prefix, window) pairs, the window being the k ids after
-    position t, PAD past the end.  `visits[t - 1]` lists (sentence, prefix
-    row, pair row) for every sentence that reaches depth t.  The stacked
-    calls are row exact, so a sentence scores the same in any set."""
+    prefixes ids[:t], and its output layer takes one row per distinct
+    prefix (k = 0) or (prefix, window) pair, the window being the k ids
+    after position t, PAD past the end; see `dists`.  `visits[t - 1]`
+    lists (sentence, prefix row, pair row) for every sentence that reaches
+    depth t.  The stacked calls are row exact, so a sentence scores the
+    same in any set."""
 
     def __init__(self, seqs, k, pad):
         levels = []
@@ -121,14 +128,33 @@ class PrefixTrie:
                        for rows, pairs in levels]
 
     def dists(self, model, alpha=1.0):
-        """Yield `model`'s output distributions depth by depth, so only one
-        depth's are held: one row per prefix when model.k is 0, else one per
-        pair (the trie's k must be the model's)."""
+        """Yield `model`'s output distributions depth by depth: one row per
+        prefix when model.k is 0, else one per pair (the trie's k must be
+        the model's).  The recurrence steps once per depth; the output layer
+        runs once per run of consecutive depths whose rows times output
+        slots stay within TRIE_DIST_ELEMENTS (one depth at least), and each
+        depth gets a view of its rows of that call."""
         h = model.zero_state()[None]
+        run, rows = [], 0
         for parents, words, pairs in self.levels:
             h = model.advance(h[parents], words)
-            yield (model.output_dist(h[pairs[:, 0]], pairs[:, 1:], alpha) if model.k
-                   else model.output_dist(h, None, alpha))
+            depth = (h[pairs[:, 0]], pairs[:, 1:]) if model.k else (h, None)
+            if run and (rows + len(depth[0])) * model.vocab.output_size > TRIE_DIST_ELEMENTS:
+                yield from _depth_views(model, run, alpha)
+                run, rows = [], 0
+            run.append(depth)
+            rows += len(depth[0])
+        if run:
+            yield from _depth_views(model, run, alpha)
+
+
+def _depth_views(model, run, alpha):
+    """The output distributions of a run of trie depths' (states, windows)
+    through one output_dist call, split into one view per depth."""
+    states, windows = zip(*run)
+    dist = model.output_dist(np.concatenate(states),
+                             np.concatenate(windows) if model.k else None, alpha)
+    return np.split(dist, np.cumsum([len(h) for h in states[:-1]]))
 
 
 def prefix_tries(seqs, k, pad):
@@ -516,12 +542,17 @@ class BiRnnlm(Rnnlm):
 
     def word_logprobs(self, seqs, alpha=1.0):
         """Per-word scores of each encoded sentence, one sentence at a time:
-        both contexts span the sentence, so there are no prefixes to share."""
+        both contexts span the sentence, so there are no prefixes to share.
+        A sentence's positions take one output product, a matrix-vector
+        product per position as the layer on one context would, and one
+        `smooth` call."""
         out = []
         ws = nn.Workspace()
         for ids in seqs:
             ctx, _, _, _ = self._forward_rect(np.asarray([ids], dtype=np.int64), [len(ids)], ws)
-            dists = [smooth(self.out_w @ c[0] + self.out_b, alpha) for c in ctx]
+            logits = np.matmul(self.out_w, ctx[:, 0, :, None])[..., 0]
+            logits += self.out_b
+            dists = smooth(logits, alpha)
             out.append([self.word_logprob_from_dist(d, w) for d, w in zip(dists, ids[1:])])
         return out
 

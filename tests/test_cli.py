@@ -248,6 +248,19 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
         code, out, err = run(argv)
         assert (code, out) == (1, ""), err
         assert err == "usage error: %s\n" % message
+    # fixtures writes nothing, not even its --out directory
+    fixtures = ["fixtures", "--out", missing]
+    for flag, value, message in (
+            ("train-tokens", 0, "--train-tokens must be at least 1"),
+            ("test-tokens", -5, "--test-tokens must be at least 1"),
+            ("shortlist", 0, "--shortlist must be at least 1"),
+            ("order", 0, "--order must be at least 1"),
+            ("per-kind", -1, "--per-kind must be at least 1"),
+            ("extra", "nan", "argument --extra: must be a finite number, got 'nan'"),
+            ("extra", "inf", "argument --extra: must be a finite number, got 'inf'")):
+        code, out, err = run(fixtures + ["--" + flag, value])
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: %s\n" % message
     assert not missing.exists()
 
 
@@ -261,6 +274,20 @@ def test_empty_reference_exits_2(ws, tmp_path):
                           "--model", ws / "uni.model", "--refs", refs])
     assert (code, out) == (2, ""), err
     assert err == "data error: %s: line 4: empty reference\n" % refs
+
+
+def test_duplicate_reference_exits_2(ws, tmp_path):
+    # a repeated utterance id would score against whichever line came last
+    fx = ws / "fx"
+    refs = tmp_path / "refs.txt"
+    lines = (fx / "refs.txt").read_text(encoding="utf-8").splitlines()
+    utt = lines[1].split()[0]
+    lines.insert(5, utt + " a b")
+    refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(["rescore", "--lattices", fx / "lattices",
+                          "--model", ws / "uni.model", "--refs", refs])
+    assert (code, out) == (2, ""), err
+    assert err == "data error: %s: line 6: duplicate reference for %s\n" % (refs, utt)
 
 
 def test_data_errors_exit_2(ws, tmp_path):

@@ -448,11 +448,17 @@ def test_loss_only_equals_the_loss_of_loss_and_grads(arch):
         assert tokens == corpus.word_count
 
 
-@pytest.mark.parametrize("succ", [0, 2])
-def test_word_logprobs_over_several_tries_equal_each_sentence_alone(monkeypatch, succ):
+@pytest.mark.parametrize("succ, hidden, embed", [
+    pytest.param(0, 48, 24, id="0"),
+    pytest.param(2, 48, 24, id="2"),
+    # sizes no BLAS kernel blocks evenly
+    pytest.param(2, 7, 5, id="2-hidden7-embed5"),
+])
+def test_word_logprobs_over_several_tries_equal_each_sentence_alone(monkeypatch, succ,
+                                                                     hidden, embed):
     vocab = build_vocabulary(ROW_LINES, 30)
-    model = (SuRnnlm(vocab, hidden=48, embed=24, succ=succ, seed=25) if succ
-             else UniRnnlm(vocab, hidden=48, embed=24, seed=25))
+    model = (SuRnnlm(vocab, hidden=hidden, embed=embed, succ=succ, seed=25) if succ
+             else UniRnnlm(vocab, hidden=hidden, embed=embed, seed=25))
     rng = np.random.default_rng(26)
     words = ["w%d" % i for i in range(40)] + ["unk"]
     stem = list(rng.choice(words, size=5))
@@ -464,3 +470,48 @@ def test_word_logprobs_over_several_tries_equal_each_sentence_alone(monkeypatch,
     assert [len(run) for run in runs] == [4, 4, 3]
     alone = [model.word_logprobs([ids], 0.7)[0] for ids in seqs]
     assert model.word_logprobs(seqs, 0.7) == alone == whole
+
+
+@pytest.mark.parametrize("succ", [0, 2])
+def test_trie_steps_once_per_depth_and_runs_its_output_layer_once(monkeypatch, succ):
+    # only the recurrence has to go depth by depth: the output layer takes
+    # the rows of every depth in one call, or of as many consecutive depths
+    # as TRIE_DIST_ELEMENTS allows, with the same bytes
+    vocab = build_vocabulary(ROW_LINES, 30)
+    model = (SuRnnlm(vocab, hidden=8, embed=4, succ=succ, seed=29) if succ
+             else UniRnnlm(vocab, hidden=8, embed=4, seed=29))
+    rng = np.random.default_rng(30)
+    words = ["w%d" % i for i in range(40)] + ["unk"]
+    seqs = [vocab.encode(list(rng.choice(words, size=rng.integers(0, 9)))) for _ in range(10)]
+    trie = models.PrefixTrie(seqs, succ, vocab.pad)
+    depths = len(trie.levels)
+    rows = [len(pairs) if succ else len(parents) for parents, _, pairs in trie.levels]
+    calls = {}
+
+    def counted(name):
+        method = getattr(model, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call
+
+    for name in ("advance", "output_dist"):
+        monkeypatch.setattr(model, name, counted(name))
+
+    def run():
+        calls.update(advance=0, output_dist=0)
+        return [d.tobytes() for d in trie.dists(model, 0.7)], dict(calls)
+
+    whole, counts = run()
+    assert counts == {"advance": depths, "output_dist": 1}
+    scores = model.word_logprobs(seqs, 0.7)
+    # a budget one depth fills runs the output layer once per depth
+    monkeypatch.setattr(models, "TRIE_DIST_ELEMENTS", 1)
+    assert run() == (whole, {"advance": depths, "output_dist": depths})
+    assert model.word_logprobs(seqs, 0.7) == scores
+    # one the widest depth fills takes some depths together
+    monkeypatch.setattr(models, "TRIE_DIST_ELEMENTS", max(rows) * vocab.output_size)
+    split, counts = run()
+    assert split == whole and counts["advance"] == depths
+    assert 1 < counts["output_dist"] < depths
