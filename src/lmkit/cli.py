@@ -171,8 +171,8 @@ def _hyper_from(args):
 
 
 # the least value of each integer train flag
-_TRAIN_MINIMA = (("order", 1), ("hidden", 1), ("embed", 1), ("succ", 0),
-                 ("epochs", 1), ("streams", 1), ("bptt", 1))
+_TRAIN_MINIMA = (("shortlist", 1), ("order", 1), ("hidden", 1), ("embed", 1),
+                 ("succ", 0), ("epochs", 1), ("streams", 1), ("bptt", 1))
 
 
 def _check_minima(args, minima):
@@ -185,22 +185,28 @@ def _check_minima(args, minima):
 
 
 def cmd_train(args):
+    # every flag is checked before the corpus is read or a file written
     _check_minima(args, _TRAIN_MINIMA)
     if args.discount is not None and not 0.0 < args.discount < 1.0:
         raise UsageError("--discount must lie in (0, 1)")
-    lines = [line for line in corpus_mod.read_text(args.train).split("\n") if line.strip()]
-    if args.vocab:
-        if args.shortlist is not None:
-            raise UsageError("--shortlist conflicts with --vocab")
-        vocab = corpus_mod.Vocabulary.load(args.vocab)
-    else:
-        vocab = corpus_mod.build_vocabulary(lines, args.shortlist)
-    if args.write_vocab:
-        vocab.save(args.write_vocab)
-    train = corpus_mod.TokenizedCorpus.from_lines(vocab, lines)
-
+    if args.vocab and args.shortlist is not None:
+        raise UsageError("--shortlist conflicts with --vocab")
     if args.arch == "ngram":
         _reject_flags(args, _RNN_FLAGS + ("succ",), "--arch is ngram")
+    else:
+        _reject_flags(args, _NGRAM_FLAGS, "--arch is %s" % args.arch)
+        if args.arch != "su":
+            _reject_flags(args, ("succ",), "--arch is %s" % args.arch)
+    lines = corpus_mod.read_text(args.train).split("\n")
+    if args.vocab:
+        vocab = corpus_mod.Vocabulary.load(args.vocab)
+    else:
+        vocab = corpus_mod.build_vocabulary(lines, args.shortlist, args.train)
+    train = corpus_mod.TokenizedCorpus.from_lines(vocab, lines, args.train)
+    if args.write_vocab:
+        vocab.save(args.write_vocab)
+
+    if args.arch == "ngram":
         order = 3 if args.order is None else args.order
         discount = 0.75 if args.discount is None else args.discount
         model = ngram_mod.train_kn(train, order, discount)
@@ -210,9 +216,6 @@ def cmd_train(args):
         print("wrote %s" % args.model_out)
         return
 
-    _reject_flags(args, _NGRAM_FLAGS, "--arch is %s" % args.arch)
-    if args.arch != "su":
-        _reject_flags(args, ("succ",), "--arch is %s" % args.arch)
     hidden = 32 if args.hidden is None else args.hidden
     embed = 16 if args.embed is None else args.embed
     seed = 0 if args.seed is None else args.seed
@@ -245,22 +248,23 @@ def cmd_ppl(args):
     if args.model is None and args.arpa is None:
         raise UsageError("need --model and/or --arpa")
     cfg = _interp_config(args)
-    model = _load_rnnlm(args.model) if args.model else None
-    if model is not None and args.vocab:
+    if args.model and args.vocab:
         raise UsageError("the model file carries its vocabulary, drop --vocab")
-    if model is not None:
-        vocab = model.vocab
-    elif args.vocab:
-        vocab = corpus_mod.Vocabulary.load(args.vocab)
-    else:
+    if not args.model and not args.vocab:
         raise UsageError("--arpa needs --vocab (or a --model to borrow from)")
+    su_usage = "--su-model rides on --arpa plus a uni --model"
+    if args.su_model and not (args.arpa and args.model):
+        raise UsageError(su_usage)
+    model = _load_rnnlm(args.model) if args.model else None
+    if model is not None and model.arch != "uni":
+        if args.su_model:
+            raise UsageError(su_usage)
+        if args.arpa:
+            raise UsageError("linear interpolation needs a normalized "
+                             "left-to-right model, not %s" % model.arch)
+    vocab = model.vocab if model is not None else corpus_mod.Vocabulary.load(args.vocab)
     arpa = ngram_mod.load_arpa(args.arpa, vocab) if args.arpa else None
     su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
-    if su is not None and (arpa is None or model is None or model.arch != "uni"):
-        raise UsageError("--su-model rides on --arpa plus a uni --model")
-    if arpa is not None and model is not None and model.arch != "uni":
-        raise UsageError("linear interpolation needs a normalized "
-                         "left-to-right model, not %s" % model.arch)
 
     test = corpus_mod.TokenizedCorpus.from_file(vocab, args.test)
     sentences = test.sentences
@@ -296,6 +300,10 @@ def cmd_nbest(args):
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     cfg = _interp_config(args)
+    if args.model and not args.arpa:
+        raise UsageError("n-best rescoring needs --arpa for the first-stage mix")
+    if not args.model and (args.su_model or args.arpa):
+        raise UsageError("rescoring flags need --model")
     if args.lattice:
         lat = lattice_mod.load_slf(args.lattice)
         hyps = lattice_mod.nbest(lat, args.n, args.acoustic_scale,
@@ -304,9 +312,6 @@ def cmd_nbest(args):
         hyps = lattice_mod.read_nbest(args.from_list)
     if args.model:
         uni = _load_rnnlm(args.model, want=("uni",))
-        if not args.arpa:
-            raise UsageError("n-best rescoring needs --arpa for the "
-                             "first-stage mix")
         arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
         su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
         cfg.normalize_locally = args.normalize_locally
@@ -314,8 +319,6 @@ def cmd_nbest(args):
                                                   args.alpha)
         hyps = lattice_mod.rescore_nbest(hyps, lm_fn, args.acoustic_scale,
                                          args.lm_scale)
-    elif args.su_model or args.arpa:
-        raise UsageError("rescoring flags need --model")
     if not hyps:
         raise lattice_mod.LatticeError("no hypotheses to write")
     if args.out:
@@ -410,7 +413,8 @@ def cmd_rescore(args):
             print("%s %s" % (utt, " ".join(words)))
             if refs is not None:
                 if utt not in refs:
-                    raise corpus_mod.CorpusError("no reference for %s" % utt)
+                    raise corpus_mod.CorpusError("no reference for %s" % utt,
+                                                 path=args.refs)
                 pairs.append((refs[utt], words))
     if refs is not None:
         c = evaluate.corpus_wer(pairs)
@@ -660,7 +664,7 @@ def main(argv=None):
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1
-    except (corpus_mod.CorpusError, corpus_mod.DataError, ConfigError, OSError) as e:
+    except (corpus_mod.DataError, ConfigError, OSError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return 2
     except nn.NumericError as e:

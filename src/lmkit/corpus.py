@@ -18,10 +18,7 @@ OOS = "<oos>"
 NULL = "<null>"
 PAD = "<pad>"
 SPECIALS = (SENT_BEGIN, SENT_END, OOV, OOS, NULL, PAD)
-
-
-class CorpusError(ValueError):
-    pass
+RESERVED = frozenset(SPECIALS)
 
 
 class DataError(ValueError):
@@ -39,6 +36,10 @@ class DataError(ValueError):
     def in_file(self, path):
         """The same error, naming the file it was read from."""
         return type(self)(self.detail, self.line, path)
+
+
+class CorpusError(DataError):
+    """A corpus, vocabulary or reference set that cannot be used."""
 
 
 def read_text(path):
@@ -144,50 +145,58 @@ class Vocabulary:
         ids.append(self.sent_end)
         return ids
 
-    def decode(self, ids):
-        """Surface forms for ids, dropping boundary tokens."""
-        out = []
-        for i in ids:
-            if i in (self.sent_begin, self.sent_end):
-                continue
-            out.append(self.words[i])
-        return out
-
     def save(self, path):
         write_text(path, "".join(w + "\n" for w in self.words))
 
     @classmethod
     def load(cls, path):
-        words = [line for line in read_text(path).split("\n") if line]
+        """The vocabulary a `save` wrote; a word listed twice or a missing or
+        broken reserved block raises CorpusError naming the file."""
+        numbered = [(n, w) for n, w in enumerate(read_text(path).split("\n"), 1) if w]
+        first_line = {}
+        for n, w in numbered:
+            if first_line.setdefault(w, n) != n:
+                raise CorpusError("duplicate word in vocabulary: %r" % w, line=n, path=path)
+        words = [w for _, w in numbered]
         try:
             first = words.index(SENT_BEGIN)
         except ValueError:
-            raise CorpusError("vocabulary file lacks reserved tokens: %s" % path)
+            raise CorpusError("vocabulary file lacks reserved tokens", path=path) from None
         if tuple(words[first:first + len(SPECIALS)]) != SPECIALS:
-            raise CorpusError("reserved token block malformed in %s" % path)
+            raise CorpusError("reserved token block malformed", line=numbered[first][0],
+                              path=path)
         return cls(words, shortlist_size=first + len(SPECIALS))
 
 
-def build_vocabulary(lines, shortlist_size=None):
+def _token_lines(lines, path=None):
+    """The tokens of each non-blank line of a text.  A reserved token in it
+    raises CorpusError naming `path` and the line, counted from 1."""
+    for n, line in enumerate(lines, 1):
+        toks = line.split()
+        if not RESERVED.isdisjoint(toks):
+            tok = next(t for t in toks if t in RESERVED)
+            raise CorpusError("reserved token appears in corpus text: %r" % tok,
+                              line=n, path=path)
+        if toks:
+            yield toks
+
+
+def build_vocabulary(lines, shortlist_size=None, path=None):
     """Count whitespace tokens and build a Vocabulary.
 
     `shortlist_size` is the number of corpus words kept in the shortlist;
     None (or anything at least the number of distinct words) keeps them all.
+    Errors name `path` when given.
     """
     counts = collections.Counter()
-    for line in lines:
-        for tok in line.split():
-            if tok in SPECIALS:
-                raise CorpusError("reserved token appears in corpus text: %r" % tok)
-            counts[tok] += 1
+    for toks in _token_lines(lines, path):
+        counts.update(toks)
     if not counts:
-        raise CorpusError("empty corpus")
+        raise CorpusError("empty corpus", path=path)
     ordered = sorted(counts, key=lambda w: (-counts[w], w))
-    if shortlist_size is None:
-        shortlist_size = len(ordered)
-    if shortlist_size <= 0 or shortlist_size > len(ordered) + len(SPECIALS):
+    n_short = len(ordered) if shortlist_size is None else min(shortlist_size, len(ordered))
+    if n_short <= 0:
         raise CorpusError("shortlist size out of range")
-    n_short = min(shortlist_size, len(ordered))
     words = ordered[:n_short] + list(SPECIALS) + ordered[n_short:]
     return Vocabulary(words, shortlist_size=n_short + len(SPECIALS))
 
@@ -202,15 +211,17 @@ class TokenizedCorpus:
         self.word_count = sum(len(s) - 1 for s in sentences)
 
     @classmethod
-    def from_lines(cls, vocab, lines):
-        sentences = [vocab.encode(line) for line in lines if line.strip()]
+    def from_lines(cls, vocab, lines, path=None):
+        """The non-blank lines encoded.  A reserved token in the text raises
+        CorpusError naming `path` and the line."""
+        sentences = [vocab.encode(toks) for toks in _token_lines(lines, path)]
         if not sentences:
-            raise CorpusError("empty corpus")
+            raise CorpusError("empty corpus", path=path)
         return cls(vocab, sentences)
 
     @classmethod
     def from_file(cls, vocab, path):
-        return cls.from_lines(vocab, read_text(path).split("\n"))
+        return cls.from_lines(vocab, read_text(path).split("\n"), path)
 
 
 def _check_streams(corpus, num_streams):

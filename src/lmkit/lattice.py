@@ -9,6 +9,8 @@ Rescoring replaces arc lm scores with a combination of the old score and a
 recurrent model's word probability.  Exact rescoring would need one hidden
 state per distinct path prefix, so prefixes are merged when they agree on
 their last n-1 words, keeping the hidden state of the best-scoring arrival.
+A history length n above the number of nodes is longer than any path, so
+nothing merges and every path keeps its full history.
 A model that also reads succeeding words gets states extended with the
 pending window of the next k words; a state is only continued along arcs
 that realize the words it promised, and the output lattice expands to keep
@@ -377,26 +379,6 @@ def read_nbest(path):
     return hyps
 
 
-def enumerate_paths(lat, limit=100000):
-    """All complete paths as arc-id tuples, in depth-first arc-id order."""
-    out = []
-    stack = [(lat.initial, ())]
-    while stack:
-        u, arc_ids = stack.pop()
-        if u == lat.final:
-            out.append(arc_ids)
-            continue
-        for aid in reversed(lat.out_arcs[u]):
-            stack.append((lat.arcs[aid].end, arc_ids + (aid,)))
-        if len(out) > limit:
-            raise LatticeError("more than %d paths" % limit)
-    return out
-
-
-def path_words(lat, arc_ids):
-    return [lat.arcs[aid].word for aid in arc_ids]
-
-
 # ---- posteriors and pruning ----
 
 def _logadd(a, b):
@@ -600,8 +582,7 @@ class _State:
         self.id = None
 
 
-def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
-             ac_scale, lm_scale):
+def _rescore(lat, model, combine, n_hist, alpha, cache, ac_scale, lm_scale):
     if n_hist < 1:
         raise ValueError("history length must be at least 1")
     if cache is None:
@@ -644,7 +625,7 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
     root = _State(None, None, None)
     root.seq = -1
     first = (vocab.sent_begin,)
-    hist0 = first if no_merge else _trunc_hist(first, n_hist)
+    hist0 = _trunc_hist(first, n_hist)
     final_key = (None, None)
     states = [dict() for _ in lat.nodes]
     states[lat.initial][(hist0, None)] = _State(0.0, root, vocab.sent_begin)
@@ -690,11 +671,8 @@ def _rescore(lat, model, combine, n_hist, alpha, no_merge, cache,
                         state_arcs = out_arcs[v]
                     for arc in state_arcs:
                         end = arc[1]
-                        # the last n_hist - 1 words of the sequence, or all
-                        # of them without merging
-                        hist_v = hist + (arc[2],)
-                        if not no_merge:
-                            hist_v = _trunc_hist(hist_v, n_hist)
+                        # the last n_hist - 1 words of the sequence
+                        hist_v = _trunc_hist(hist + (arc[2],), n_hist)
                         cands = by_prefix[end].get(tail, ()) if fut else futures[end]
                         for fut_v in cands:
                             dkey = (st.seq, fut_v)
@@ -762,25 +740,24 @@ def _combine_fn(combine, lam):
     raise ValueError("unknown combine rule %r" % (combine,))
 
 
-def rescore_lattice_uni(lat, model, n_hist=3, lam=0.75, no_merge=False,
-                        cache=None, ac_scale=1.0, lm_scale=1.0,
-                        combine="linear"):
+def rescore_lattice_uni(lat, model, n_hist=3, lam=0.75, cache=None,
+                        ac_scale=1.0, lm_scale=1.0, combine="linear"):
     """Rescore with a left-to-right model, mixing its word probability
     linearly with the existing arc probability under weight lam.  States
-    merge on the last n_hist - 1 words; no_merge keeps full histories."""
+    merge on the last n_hist - 1 words; an n_hist above the number of
+    nodes keeps full histories."""
     return _rescore(lat, model, _combine_fn(combine, lam), n_hist, 1.0,
-                    no_merge, cache, ac_scale, lm_scale)
+                    cache, ac_scale, lm_scale)
 
 
-def rescore_lattice_su(lat, model, n_hist=3, lam=0.3, alpha=0.7,
-                       no_merge=False, cache=None, ac_scale=1.0, lm_scale=1.0,
-                       combine="loglinear"):
+def rescore_lattice_su(lat, model, n_hist=3, lam=0.3, alpha=0.7, cache=None,
+                       ac_scale=1.0, lm_scale=1.0, combine="loglinear"):
     """Rescore with a succeeding-word model, mixing its smoothed log
     probability log-linearly with the existing arc score under weight lam.
     The state expansion follows the model's window size; with k=0 and the
     same combine rule this reduces exactly to rescore_lattice_uni."""
     return _rescore(lat, model, _combine_fn(combine, lam), n_hist, alpha,
-                    no_merge, cache, ac_scale, lm_scale)
+                    cache, ac_scale, lm_scale)
 
 
 # ---- hypothesis-list rescoring ----

@@ -9,9 +9,9 @@ shortlist plus a single out-of-shortlist slot:
        feedforward unit over the k succeeding word embeddings.
 
 They differ only in the recurrent part; the base `Rnnlm` holds the rest:
-construction, parameters, the container, the per-word lookup and sentence
-scores, the output layer with its loss and gradients, and `_sgd_train`
-(plain SGD with global-norm clipping).  A subclass gives
+construction, parameters, the container, the per-word lookup and one
+sentence's word scores, the output layer with its loss and gradients,
+and `_sgd_train` (plain SGD with global-norm clipping).  A subclass gives
 `word_logprobs(seqs, alpha)`, `_batches` (its training arrays) and
 `_updates` (the loss, tokens and rows of each update, whose gradients it
 adds into a dict the caller owns).  uni is su with k=0: `UniRnnlm`
@@ -46,7 +46,8 @@ the output layer, softmax and loss, and every weight gradient are stacked
 products over the span, one gemm per step inside each, summed in the
 order the step loop used.  The results have the bytes of the step-by-step
 pass written with the per-gate GRU step of tests/oracles.py and
-GruCell.backward.
+GruCell.backward, which no trainer calls: it stays in nn as the tests'
+one-step reference, and the tracer wraps it by name.
 
 Every span takes its stacks from one nn.Workspace per training loop
 (`_sgd_train` across its epochs), so the spans after the first write into
@@ -66,7 +67,6 @@ import numpy as np
 
 from . import nn
 from .corpus import DataError, Vocabulary, make_null_aligned_batches, make_spliced_batches
-from .evaluate import ordered_sum
 from .interpolate import safe_ln
 
 # sentences per prefix trie: a trie depth holds one hidden state and one
@@ -224,9 +224,6 @@ class Rnnlm:
         """word_logprobs of one encoded sentence."""
         return self.word_logprobs([ids], alpha)[0]
 
-    def sentence_logprob(self, ids, alpha=1.0):
-        return ordered_sum(self.sentence_word_logprobs(ids, alpha))
-
     # ---- training ----
 
     def _embed(self, ids, ws, name):
@@ -292,7 +289,7 @@ class Rnnlm:
                         g /= rows
                     norm = float(nn.sgd_step(params, grads, lr, hyper.clip))
                     ep_norm = max(ep_norm, norm)
-                    if hyper.clip is not None and norm > hyper.clip:
+                    if norm > hyper.clip:
                         ep_clipped += 1
                 for g in grads.values():
                     g.fill(0.0)

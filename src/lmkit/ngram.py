@@ -37,7 +37,6 @@ import math
 import numpy as np
 
 from .corpus import DataError, bad_score, read_text, write_text
-from .evaluate import ordered_sum
 
 LN10 = math.log(10.0)
 LOG10_NEG_INF = -99.0
@@ -81,14 +80,6 @@ class ArpaModel:
         for t in range(1, len(ids)):
             out.append(self.logprob(ids[:t], ids[t]))
         return out
-
-    def sentence_logprob(self, ids):
-        return ordered_sum(self.sentence_word_logprobs(ids))
-
-    def support(self):
-        """Word ids with a unigram entry (everything the model can emit), in
-        ascending order."""
-        return sorted(g[0] for g in self.entries[1])
 
 
 # the distinct m-grams of one order, sorted as tuples: per n-gram the index

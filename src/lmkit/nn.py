@@ -4,14 +4,18 @@ clipped SGD, and the binary model container.
 The GRU comes twice.  GruCell keeps its z and r gates as one block per
 weight (see its docstring).  GruCell.step is the row-exact scoring step,
 which the scorers take through gru_step's row views: one product per
-block gives both gates.  GruCell.backward is the backward pass of one
-step.  gru_span and gru_span_backward run the training spans: the input
-products, the weight gradients and dx are stacked products over the whole
-span (span_inputs, span_grads), and only the U products and the gate
-arithmetic stay in the time loop.  They give the bytes of the per-gate
-step (tests/oracles.py) run step by step: a stacked product is one gemm
-per step and gate, and the span sums run in step order.  On a 2-d stack
-the fused products of `step` can round differently.
+block gives both gates, and it returns the new state only.
+GruCell.backward is the backward pass of one step, on the cache of the
+per-gate step in tests/oracles.py: nothing in the library calls it, but
+it is the tests' reference for the span kernels and the benchmark's
+tracer wraps it by name, so it stays here.  gru_span and
+gru_span_backward run the training spans: the input products, the weight
+gradients and dx are stacked products over the whole span (span_inputs,
+span_grads), and only the U products and the gate arithmetic stay in the
+time loop.  They give the bytes of the per-gate step run step by step: a
+stacked product is one gemm per step and gate, and the span sums run in
+step order.  On a 2-d stack the fused products of `step` can round
+differently.
 
 A training loop holds one Workspace, and every span-sized stack of its
 spans (inputs, gates, states, gradients, products) is a view written into
@@ -41,8 +45,8 @@ class NumericError(ArithmeticError):
     """Raised when a training step produces non-finite values."""
 
 
-def uniform_init(rng, shape, scale=0.1, dtype=np.float64):
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+def uniform_init(rng, shape, dtype=np.float64):
+    return rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
 
 
 def sigmoid(x):
@@ -52,13 +56,13 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softmax(logits, axis=-1, out=None):
-    """Softmax along `axis`, written into `out` when given (which may be
-    `logits` itself), else into a new array."""
+def softmax(logits, out=None):
+    """Softmax along the last axis, written into `out` when given (which may
+    be `logits` itself), else into a new array."""
     logits = np.asarray(logits)
-    e = np.subtract(logits, logits.max(axis=axis, keepdims=True), out=out)
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -107,8 +111,8 @@ class GruCell:
 
     def step(self, x, h_prev):
         """One step: x (D,) and h_prev (H,), or stacks whose last axis holds
-        them.  Returns h and the intermediates `backward` needs.  Both gates
-        take one product with each block's transposed view and one sigmoid.
+        them.  Returns h.  Both gates take one product with each block's
+        transposed view and one sigmoid.
         On one row, or on a stack of row_views, each row's products are
         vector-matrix products of their own, so a row has the same bytes in
         any stack; gru_step takes the scorers' calls that way."""
@@ -126,10 +130,11 @@ class GruCell:
         np.tanh(c, out=c)
         h = (1.0 - z) * h_prev
         h += z * c
-        return h, (x, h_prev, z, r, rh, c)
+        return h
 
     def backward(self, cache, dh, grads):
-        """Backprop one step.  `dh` is dL/dh'.  Gate gradients accumulate into
+        """Backprop one step from the cache of the per-gate step
+        (tests/oracles.py).  `dh` is dL/dh'.  Gate gradients accumulate into
         `grads` (keyed like `params`); returns (dx, dh_prev)."""
         x, h_prev, z, r, rh, c = cache
         p = self.p
@@ -383,8 +388,8 @@ def gru_step(cell, x, h_prev):
     and h_prev (B, H) give (B, H), and row i equals the call on row i
     alone, whatever the other rows are."""
     if x.ndim == 1:
-        return cell.step(x, h_prev)[0]
-    return cell.step(row_views(x), row_views(h_prev))[0][:, 0]
+        return cell.step(x, h_prev)
+    return cell.step(row_views(x), row_views(h_prev))[:, 0]
 
 
 def global_norm(grads):
@@ -394,14 +399,14 @@ def global_norm(grads):
     return np.sqrt(total)
 
 
-def sgd_step(params, grads, lr, clip=None):
-    """In-place SGD update with optional global-norm clipping: when the
-    global norm exceeds `clip`, every gradient is first scaled in place so
-    that it is `clip`.  Each gradient is then scaled by `lr` in place and
+def sgd_step(params, grads, lr, clip):
+    """In-place SGD update with global-norm clipping: when the global norm
+    exceeds `clip`, every gradient is first scaled in place so that it is
+    `clip`.  Each gradient is then scaled by `lr` in place and
     subtracted, so `grads` holds the steps taken when it returns.  Returns
     the global norm before clipping."""
     norm = global_norm(grads)
-    if clip is not None and norm > clip:
+    if norm > clip:
         scale = clip / norm
         for g in grads.values():
             g *= scale

@@ -25,7 +25,7 @@ which shares both its coarse and pair cues)."""
 import random
 from dataclasses import dataclass
 
-from .lattice import Arc, Lattice, LatticeError, Node, enumerate_paths
+from .lattice import Arc, Lattice, Node
 
 
 class SyntheticLanguage:
@@ -175,21 +175,3 @@ def build_confusion_set(lang, ngram_model, seed, per_kind=80, extra=0.8):
             utts.append(ConfusionUtterance("utt%04d" % len(utts), kind, lat, words))
     return utts
 
-
-def random_dag_lattice(rng, words, max_paths=64):
-    """A small random DAG lattice with at most max_paths complete paths."""
-    while True:
-        n = rng.randint(4, 8)
-        pairs = [(i, i + 1) for i in range(n - 1)]
-        for _ in range(rng.randint(1, 5)):
-            i = rng.randrange(n - 1)
-            pairs.append((i, rng.randint(i + 1, n - 1)))
-        arcs = [Arc(j, s, e, words[rng.randrange(len(words))],
-                    -3.0 * rng.random(), -2.0 * rng.random())
-                for j, (s, e) in enumerate(pairs)]
-        lat = Lattice([Node(i, float(i)) for i in range(n)], arcs).finish()
-        try:
-            enumerate_paths(lat, limit=max_paths)
-        except LatticeError:
-            continue
-        return lat

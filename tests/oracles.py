@@ -3,8 +3,10 @@
 The library scores and trains through stacked calls; these are the plain
 one-position forms those calls must reproduce, the per-gate GRU step the
 training kernels must reproduce, the whole-corpus pass the
-finite-difference checks differentiate, and the dictionary Kneser-Ney
-estimator whose tables the sort-based one must reproduce bit for bit.
+finite-difference checks differentiate, the dictionary Kneser-Ney
+estimator whose tables the sort-based one must reproduce bit for bit, and
+the path enumeration of small random lattices that the lattice search,
+posteriors and rescoring are checked against.
 """
 
 import collections
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from lmkit import nn
+from lmkit.lattice import Arc, Lattice, LatticeError, Node
 from lmkit.ngram import LOG10_NEG_INF
 
 
@@ -25,11 +28,12 @@ def future_window(pad, ids, t, k):
 
 def gru_step(cell, x, h_prev):
     """The per-gate GRU step: x (..., D) and h_prev (..., H) give h and the
-    cache `nn.GruCell.backward` takes.  Each gate takes its own input and
-    state products with the per-gate views of `cell.p`, six products in
-    all.  nn.gru_span run over a span has the bytes of this step run step
-    by step, on 2-d stacks too, where the fused (2H)-wide products of
-    `nn.GruCell.step` can round differently."""
+    cache `nn.GruCell.backward` takes (`nn.GruCell.step` returns h alone).
+    Each gate takes its own input and state products with the per-gate
+    views of `cell.p`, six products in all.  nn.gru_span run over a span
+    has the bytes of this step run step by step, on 2-d stacks too, where
+    the fused (2H)-wide products of `nn.GruCell.step` can round
+    differently."""
     p = cell.p
     H = cell.hidden_size
     zr = nn.sigmoid(np.concatenate(
@@ -126,3 +130,42 @@ def train_kn(corpus, order, discount=0.75):
                 raise AssertionError("missing back-off context %r" % (hist,))
             hent[1] = math.log10(bow)
     return tables
+
+
+def enumerate_paths(lat, limit=100000):
+    """All complete paths as arc-id tuples, in depth-first arc-id order."""
+    out = []
+    stack = [(lat.initial, ())]
+    while stack:
+        u, arc_ids = stack.pop()
+        if u == lat.final:
+            out.append(arc_ids)
+            continue
+        for aid in reversed(lat.out_arcs[u]):
+            stack.append((lat.arcs[aid].end, arc_ids + (aid,)))
+        if len(out) > limit:
+            raise LatticeError("more than %d paths" % limit)
+    return out
+
+
+def path_words(lat, arc_ids):
+    return [lat.arcs[aid].word for aid in arc_ids]
+
+
+def random_dag_lattice(rng, words, max_paths=64):
+    """A small random DAG lattice with at most max_paths complete paths."""
+    while True:
+        n = rng.randint(4, 8)
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randrange(n - 1)
+            pairs.append((i, rng.randint(i + 1, n - 1)))
+        arcs = [Arc(j, s, e, words[rng.randrange(len(words))],
+                    -3.0 * rng.random(), -2.0 * rng.random())
+                for j, (s, e) in enumerate(pairs)]
+        lat = Lattice([Node(i, float(i)) for i in range(n)], arcs).finish()
+        try:
+            enumerate_paths(lat, limit=max_paths)
+        except LatticeError:
+            continue
+        return lat

@@ -17,15 +17,13 @@ import numpy as np
 from lmkit import evaluate
 from lmkit.corpus import TokenizedCorpus, build_vocabulary
 from lmkit.interpolate import linear, loglinear_score, safe_ln
-from lmkit.lattice import (LatticeError, ProbCache, best_path,
-                           enumerate_paths, nbest, parse_slf, path_words,
-                           rescore_lattice_su, rescore_lattice_uni,
+from lmkit.lattice import (LatticeError, ProbCache, best_path, nbest,
+                           parse_slf, rescore_lattice_su, rescore_lattice_uni,
                            rescore_nbest, write_slf)
 from lmkit.models import BiRnnlm, Hyper, SuRnnlm, UniRnnlm, smooth
 from lmkit.ngram import FormatError, load_arpa, save_arpa
 from lmkit.nn import softmax, zeros_like_params
-from lmkit.synth import random_dag_lattice
-from oracles import full_pass
+from oracles import enumerate_paths, full_pass, path_words, random_dag_lattice
 
 
 class _criterion:
@@ -203,15 +201,17 @@ def test_criterion_03_full_context_rescoring_matches_path_oracle(capsys):
             lat = random_dag_lattice(rng, WALK_WORDS)
             paths = enumerate_paths(lat)
             assert len(paths) <= 64
+            # a history longer than any path merges nothing
+            n_full = len(lat.nodes) + 1
             for model, combine, lam, alpha in runs:
                 if model.k:
-                    full = rescore_lattice_su(lat, model, lam=lam,
-                                              alpha=alpha, no_merge=True)
+                    full = rescore_lattice_su(lat, model, n_hist=n_full,
+                                              lam=lam, alpha=alpha)
                     merged = rescore_lattice_su(lat, model, n_hist=2,
                                                 lam=lam, alpha=alpha)
                 else:
-                    full = rescore_lattice_uni(lat, model, lam=lam,
-                                               no_merge=True)
+                    full = rescore_lattice_uni(lat, model, n_hist=n_full,
+                                               lam=lam)
                     merged = rescore_lattice_uni(lat, model, n_hist=2,
                                                  lam=lam)
                 want = {}
@@ -432,10 +432,10 @@ def test_criterion_09_model_files_round_trip(arpa, vocab, confusion,
                                              tmp_path, capsys):
     with _criterion(9, "ARPA and lattice files survive save/load/save "
                        "byte for byte and bad input names its line", capsys):
-        p1, p2 = str(tmp_path / "a1.arpa"), str(tmp_path / "a2.arpa")
-        save_arpa(arpa, p1)
-        save_arpa(load_arpa(p1, vocab), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a1.arpa", tmp_path / "a2.arpa"
+        save_arpa(arpa, str(p1))
+        save_arpa(load_arpa(str(p1), vocab), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
         text = write_slf(confusion[0].lattice)
         assert write_slf(parse_slf(text)) == text
         bad = str(tmp_path / "bad.arpa")

@@ -211,6 +211,43 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
         code, out, err = run(train + ["--arch", arch, "--" + flag, value])
         assert (code, out) == (1, ""), err
         assert err == "usage error: %s\n" % message
+    # flags that do not go together: refused before any input is read and
+    # before --write-vocab writes anything, on a corpus that exists too
+    vocab_out = tmp_path / "v.txt"
+    for train_file in (missing, ws / "fx" / "train.txt"):
+        train = ["train", "--train", train_file, "--model-out", tmp_path / "m"]
+        for argv, message in (
+                (["--arch", "ngram", "--hidden", 8, "--write-vocab", vocab_out],
+                 "--hidden does not apply when --arch is ngram"),
+                (["--arch", "uni", "--order", 2, "--write-vocab", vocab_out],
+                 "--order does not apply when --arch is uni"),
+                (["--arch", "uni", "--succ", 2, "--write-vocab", vocab_out],
+                 "--succ does not apply when --arch is uni"),
+                (["--arch", "uni", "--vocab", missing, "--shortlist", 5],
+                 "--shortlist conflicts with --vocab"),
+                (["--arch", "ngram", "--shortlist", 0, "--write-vocab", vocab_out],
+                 "--shortlist must be at least 1")):
+            code, out, err = run(train + argv)
+            assert (code, out) == (1, ""), err
+            assert err == "usage error: %s\n" % message
+            assert not vocab_out.exists()
+            assert not (tmp_path / "m").exists()
+    for argv, message in (
+            (["nbest", "--lattice", missing, "--arpa", missing],
+             "rescoring flags need --model"),
+            (["nbest", "--lattice", missing, "--su-model", missing],
+             "rescoring flags need --model"),
+            (["nbest", "--lattice", missing, "--model", missing],
+             "n-best rescoring needs --arpa for the first-stage mix"),
+            (["ppl", "--test", missing, "--model", missing, "--vocab", missing],
+             "the model file carries its vocabulary, drop --vocab"),
+            (["ppl", "--test", missing, "--model", missing, "--su-model", missing],
+             "--su-model rides on --arpa plus a uni --model"),
+            (["ppl", "--test", missing, "--arpa", missing, "--vocab", missing,
+              "--su-model", missing], "--su-model rides on --arpa plus a uni --model")):
+        code, out, err = run(argv)
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: %s\n" % message
     # scoring weights: NaN would be ranked, and alpha <= 0 loses the argmax
     commands = {
         "nbest": ["nbest", "--lattice", missing, "--model", missing, "--arpa", missing],
@@ -382,6 +419,27 @@ def test_data_errors_name_the_file_and_line(ws, tmp_path):
                             "--jobs", jobs])
         assert code == 2, err
         assert err == "data error: %s: line %d: arc endpoint out of range\n" % (bad, line)
+
+
+def test_reserved_tokens_in_text_exit_2_naming_the_line(ws, tmp_path):
+    fx = ws / "fx"
+    text = tmp_path / "text.txt"
+    reserved = "data error: %s: line 3: reserved token appears in corpus text: %r\n"
+    for tok in ("<pad>", "</s>", "<s>"):
+        text.write_text("x01 ya001\n\nx02 %s x03\n" % tok, encoding="utf-8")
+        for argv in (
+                ["ppl", "--test", text, "--model", ws / "uni.model"],
+                ["tune", "--test", text, "--arpa", fx / "baseline.arpa",
+                 "--model", ws / "uni.model"],
+                ["train", "--arch", "ngram", "--train", text,
+                 "--model-out", tmp_path / "m.arpa", "--write-vocab", tmp_path / "v.txt"],
+                ["train", "--arch", "uni", "--train", text, "--vocab", fx / "vocab.txt",
+                 "--model-out", tmp_path / "m.model"]):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), err
+            assert err == reserved % (text, tok)
+    # nothing was written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["text.txt"]
 
 
 def test_undecodable_text_inputs_exit_2(ws, tmp_path):

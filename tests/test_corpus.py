@@ -43,7 +43,7 @@ def test_encode_decode_round_trip():
     v = build_vocabulary(LINES)
     ids = v.encode("a b d")
     assert ids[0] == v.sent_begin and ids[-1] == v.sent_end
-    assert v.decode(ids) == ["a", "b", "d"]
+    assert [v.words[i] for i in ids[1:-1]] == ["a", "b", "d"]
 
 
 def test_unknown_words_collapse_to_oov():
@@ -55,6 +55,28 @@ def test_unknown_words_collapse_to_oov():
 def test_reserved_token_in_corpus_rejected():
     with pytest.raises(CorpusError):
         build_vocabulary(["a <s> b"])
+    # text read for training or scoring alike: with a vocabulary given, the
+    # corpus itself must refuse the tokens, and the error names the line
+    v = build_vocabulary(LINES)
+    for tok in SPECIALS:
+        lines = ["a b", "", "a %s b" % tok]
+        want = "t.txt: line 3: reserved token appears in corpus text: %r" % tok
+        for read in (lambda: TokenizedCorpus.from_lines(v, lines, "t.txt"),
+                     lambda: build_vocabulary(lines, path="t.txt")):
+            with pytest.raises(DataError) as err:
+                read()
+            assert isinstance(err.value, CorpusError)
+            assert str(err.value) == want
+
+
+def test_shortlist_at_or_above_the_word_count_keeps_every_word():
+    want = build_vocabulary(LINES)
+    for size in (4, 5, 10, 11, 99):
+        v = build_vocabulary(LINES, shortlist_size=size)
+        assert (v.words, v.shortlist_size) == (want.words, want.shortlist_size)
+    for size in (0, -1):
+        with pytest.raises(CorpusError):
+            build_vocabulary(LINES, shortlist_size=size)
 
 
 def test_empty_corpus_rejected():
@@ -72,6 +94,17 @@ def test_vocab_save_load_round_trip(tmp_path):
     w = Vocabulary.load(path)
     assert w.words == v.words
     assert w.shortlist_size == v.shortlist_size
+
+
+def test_vocab_load_names_a_duplicate_word_and_its_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    words = build_vocabulary(LINES).words
+    # a blank line still counts as a line
+    path.write_text("\n".join(words[:2] + ["", words[0]] + words[2:]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        Vocabulary.load(str(path))
+    assert str(err.value) == "%s: line 4: duplicate word in vocabulary: 'b'" % path
 
 
 def test_vocab_load_requires_reserved_block(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from lmkit.corpus import TokenizedCorpus, build_vocabulary
 from lmkit.evaluate import corpus_wer, ordered_sum, perplexity, pseudo_perplexity, wer
 from lmkit.lattice import Arc, Lattice, Node, best_path, make_two_stage_scorer
-from lmkit.models import BiRnnlm, UniRnnlm
+from lmkit.models import UniRnnlm
 from lmkit.ngram import train_kn
 
 
@@ -98,13 +98,8 @@ def test_float_totals_add_left_to_right():
     vocab = build_vocabulary(["a b"])
     corpus = TokenizedCorpus.from_lines(vocab, ["a b"])
     assert perplexity(lambda ids: values, corpus).per_sentence == [0.0]
-    ids = corpus.sentences[0]
-    ngram = train_kn(corpus, 2)
-    uni = UniRnnlm(vocab, hidden=4, embed=3, seed=1)
-    for model in (ngram, uni, BiRnnlm(vocab, hidden=4, embed=3, seed=2)):
-        model.sentence_word_logprobs = lambda ids, alpha=1.0: values
-        assert model.sentence_logprob(ids) == 0.0
-    scorer = make_two_stage_scorer(ngram, uni)
+    scorer = make_two_stage_scorer(train_kn(corpus, 2),
+                                   UniRnnlm(vocab, hidden=4, embed=3, seed=1))
     scorer.word_scores = lambda seqs: [values for _ in seqs]
     assert scorer.score_many([["a", "b"]]) == [0.0]
     nodes = [Node(i, float(i)) for i in range(4)]

@@ -11,15 +11,15 @@ from lmkit.corpus import build_vocabulary
 from lmkit.interpolate import InterpConfig, linear, loglinear_score, safe_ln, two_stage
 from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
                            Node, ProbCache, arc_posteriors, best_path,
-                           enumerate_paths, load_slf, make_two_stage_scorer,
-                           nbest, parse_slf, path_words, prune, read_nbest,
-                           rescore_lattice_su, rescore_lattice_uni,
-                           rescore_nbest, save_slf, write_slf)
+                           load_slf, make_two_stage_scorer, nbest, parse_slf,
+                           prune, read_nbest, rescore_lattice_su,
+                           rescore_lattice_uni, rescore_nbest, save_slf,
+                           write_slf)
 from lmkit.models import SuRnnlm, UniRnnlm
 from lmkit.ngram import train_kn
 from lmkit.corpus import TokenizedCorpus
-from lmkit.synth import confusion_sausage, random_dag_lattice
-from oracles import future_window, step
+from lmkit.synth import confusion_sausage
+from oracles import enumerate_paths, future_window, path_words, random_dag_lattice, step
 
 
 def diamond():
@@ -297,11 +297,11 @@ def test_unmerged_rescoring_equals_per_path_oracle():
         for model, combine, lam, alpha in ((uni, "linear", 0.75, 1.0),
                                            (su1, "loglinear", 0.3, 0.7),
                                            (su2, "loglinear", 0.3, 0.7)):
+            full = merge_args("full", lat)
             if model.k:
-                out = rescore_lattice_su(lat, model, lam=lam, alpha=alpha,
-                                         no_merge=True)
+                out = rescore_lattice_su(lat, model, lam=lam, alpha=alpha, **full)
             else:
-                out = rescore_lattice_uni(lat, model, lam=lam, no_merge=True)
+                out = rescore_lattice_uni(lat, model, lam=lam, **full)
             want = {}
             for p in enumerate_paths(lat):
                 s = _oracle_path_score(lat, model, p, lam, combine, alpha,
@@ -325,7 +325,7 @@ def test_merged_best_never_beats_full_context_best():
             kw = {} if not model.k else {"alpha": 0.7}
             entry = rescore_lattice_uni if not model.k else rescore_lattice_su
             merged = entry(lat, model, n_hist=2, **kw)
-            full = entry(lat, model, no_merge=True, **kw)
+            full = entry(lat, model, **merge_args("full", lat), **kw)
             assert best_path(merged).total <= best_path(full).total + 1e-9
 
 
@@ -334,7 +334,8 @@ def test_rescore_preserves_words_acoustics_and_origins():
     lat = random_dag_lattice(random.Random(47), ["u", "v", "w", "x"])
     for model in (uni, su1):
         entry = rescore_lattice_su if model.k else rescore_lattice_uni
-        for merge, args in sorted(MERGE_ARGS.items()):
+        for merge in MERGES:
+            args = merge_args(merge, lat)
             out = entry(lat, model, **args)
             assert len(out.node_origin) == len(out.nodes)
             assert len(out.arc_origin) == len(out.arcs)
@@ -351,13 +352,11 @@ def test_rescore_preserves_words_acoustics_and_origins():
                 assert (start, end) == (src.start, src.end)
                 w = vocab.id_of(a.word)
                 # the end's history is the start's plus the arc's word, cut
-                # to n_hist - 1 words when merging
+                # to n_hist - 1 words, which cuts nothing when "full"
                 if a.end == out.final:
                     assert (hist_v, fut_v) == (None, None)
                 else:
-                    want = hist + (w,)
-                    if merge != "full":
-                        want = want[-(args["n_hist"] - 1):]
+                    want = (hist + (w,))[-(args["n_hist"] - 1):]
                     assert hist_v == want, merge
                     assert len(fut_v) == model.k
                 # a promised window starts with the arc's word and moves on
@@ -441,7 +440,13 @@ PINNED_SLF_SHA256 = {
     ("su2", "full", "linear"): "d6098923b08540e18dd9d5addd6510f0f8615726c7c0600f4596c826ea620bf7",
     ("su2", "full", "loglinear"): "1ad248cfec75bfb0301998c46106f48c203910c7c8ebcc09cf81a91e03afced6",
 }
-MERGE_ARGS = {"n2": {"n_hist": 2}, "n3": {"n_hist": 3}, "full": {"no_merge": True}}
+MERGES = ("full", "n2", "n3")
+
+
+def merge_args(merge, lat):
+    """The history length of `merge` on `lat`; "full" is longer than any of
+    its paths, so it merges nothing."""
+    return {"n_hist": len(lat.nodes) + 1 if merge == "full" else int(merge[1:])}
 
 
 @pytest.mark.parametrize("name,merge,combine", sorted(PINNED_SLF_SHA256))
@@ -456,7 +461,7 @@ def test_rescoring_bytes_match_pinned_texts(name, merge, combine):
 
     def text(lat, cache):
         return write_slf(entry(lat, model, combine=combine, cache=cache,
-                               **MERGE_ARGS[merge]))
+                               **merge_args(merge, lat)))
 
     cold = [text(lat, None) for lat in lats]
     for i, lat in enumerate(lats):
@@ -501,15 +506,14 @@ def _index(lat):
     return lat.out_arcs, lat.in_arcs, lat.initial, lat.final, lat.topo
 
 
-@pytest.mark.parametrize("merge", sorted(MERGE_ARGS))
+@pytest.mark.parametrize("merge", MERGES)
 def test_rescored_lattices_are_indexed_as_finish_would_index_them(merge):
     # rescoring sets adjacency, endpoints and order itself instead of
     # calling finish(); both passes, and su on a rescored lattice
     _, ngram, uni, su1, su3 = _scorer_setup()
-    args = MERGE_ARGS[merge]
     for lat in _indexing_cases(ngram):
-        mid = rescore_lattice_uni(lat, uni, **args)
-        outs = [mid] + [rescore_lattice_su(src, su, **args)
+        mid = rescore_lattice_uni(lat, uni, **merge_args(merge, lat))
+        outs = [mid] + [rescore_lattice_su(src, su, **merge_args(merge, src))
                         for src in (lat, mid) for su in (su1, su3)]
         for out in outs:
             assert _index(out) == _index(Lattice(out.nodes, out.arcs).finish())
@@ -524,7 +528,7 @@ def test_out_of_shortlist_words_match_per_path_oracle():
     for lat in _indexing_cases(ngram)[:8]:
         for model in (uni, su1, su3):
             out = rescore_lattice_su(lat, model, lam=0.3, alpha=0.7,
-                                     no_merge=True)
+                                     **merge_args("full", lat))
             want = {}
             for p in enumerate_paths(lat):
                 s = _oracle_path_score(lat, model, p, 0.3, "loglinear", 0.7,

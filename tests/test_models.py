@@ -58,15 +58,6 @@ def test_out_of_shortlist_mass_splits_uniformly():
         assert abs(model.word_logprob_from_dist(dist, w) - want) < 1e-12
 
 
-def test_sentence_logprob_sums_word_scores():
-    vocab, corpus = tiny_setup()
-    model = UniRnnlm(vocab, hidden=8, embed=4, seed=2)
-    ids = corpus.sentences[0]
-    lps = model.sentence_word_logprobs(ids)
-    assert len(lps) == len(ids) - 1
-    assert abs(model.sentence_logprob(ids) - sum(lps)) < 1e-12
-
-
 def test_training_is_seed_deterministic():
     vocab, corpus = tiny_setup()
     hyper = Hyper(epochs=2, num_streams=2)
@@ -399,7 +390,7 @@ def _reference_loss(model, corpus, streams=2):
             flat = model.emb[windows[:, t]].reshape(S, model.k * model.embed)
             f = np.tanh(flat @ model.fut_w.T + model.fut_b)
             ctx = np.concatenate([h, f], axis=1)
-        dist = nn.softmax(ctx @ model.out_w.T + model.out_b, axis=1)
+        dist = nn.softmax(ctx @ model.out_w.T + model.out_b)
         mask = valid[:, t]
         picked = dist[rows, slots[:, t]]
         loss -= float(np.sum(np.log(picked, where=mask, out=np.zeros(S)) * mask))

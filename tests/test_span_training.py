@@ -107,7 +107,7 @@ def _reference_forward_backward(model, inputs, slots, valid, resets, windows, t0
             flat = model.emb[windows[:, t]].reshape(len(rows), -1)
             f = np.tanh(flat @ model.fut_w.T + model.fut_b)
             ctx = np.concatenate([h, f], axis=1)
-        dist = nn.softmax(ctx @ model.out_w.T + model.out_b, axis=1)
+        dist = nn.softmax(ctx @ model.out_w.T + model.out_b)
         mask = valid[:, t]
         picked = dist[rows, slots[:, t]]
         loss -= float((np.log(picked, where=mask, out=np.zeros(len(rows))) * mask).sum())
@@ -164,7 +164,7 @@ def _reference_bi_batch(model, rows, lengths):
     for i in range(1, T):
         mask = (i <= lengths - 1)
         ctx = np.concatenate([fwd[i], bwd[i]], axis=1)
-        dist = nn.softmax(ctx @ model.out_w.T + model.out_b, axis=1)
+        dist = nn.softmax(ctx @ model.out_w.T + model.out_b)
         picked = dist[np.arange(n), slots[:, i]]
         loss -= float((np.log(picked, where=mask, out=np.zeros(n)) * mask).sum())
         dist[np.arange(n), slots[:, i]] -= 1.0

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from lmkit.lattice import best_path, enumerate_paths
-from lmkit.synth import (SyntheticLanguage, build_corpus_lines,
-                         confusion_sausage, random_dag_lattice)
+from lmkit.lattice import best_path
+from lmkit.synth import SyntheticLanguage, build_corpus_lines, confusion_sausage
+from oracles import enumerate_paths, random_dag_lattice
 
 
 def test_corpus_lines_are_seed_deterministic(lang):
