@@ -7,7 +7,11 @@ fixtures.  A --config file holds key=value lines named after the long
 flags; explicit flags override it.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numeric
-failure.
+failure.  Each numeric flag's value rule is its argparse type, checked
+while the command line is parsed, so a bad value fails before any input
+is read or output written, always as
+`usage error: argument --FLAG: <rule>, got '<value>'`.  Flag
+combinations are checked by each command before its first read.
 """
 
 import argparse
@@ -87,37 +91,48 @@ def _apply_config(argv):
 # ---------------------------------------------------------------------------
 # shared flag groups
 
-def _finite(text):
-    """The value of a float flag; NaN and the infinities are usage errors,
-    raised while the command line is parsed, before any input is read."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be a finite number, got %r" % text)
-    return value
+def _rule(test, rule, convert=float):
+    """An argparse type: the flag's text through `convert`, refused unless
+    test(value) holds, with `must <rule>, got '<text>'`.  The rule is
+    checked while the command line is parsed, so a bad value is a usage
+    error before any input is read or output written."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not test(value):
+            raise argparse.ArgumentTypeError("must %s, got %r" % (rule, text))
+        return value
+    return parse
 
 
-def _positive(text):
-    """The value of a float flag that must also be above 0."""
-    value = _finite(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be a positive number, got %r" % text)
-    return value
+def _at_least(least):
+    """The type of an integer flag with a least value."""
+    return _rule(lambda v: v >= least, "be an integer of at least %d" % least, int)
+
+
+# _positive and _weight refuse NaN and the infinities with _finite's message
+_finite = _rule(math.isfinite, "be a finite number")
+_positive = _rule(lambda v: v > 0.0, "be a positive number", _finite)
+_weight = _rule(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]", _finite)
 
 
 def _add_interp_flags(sp, lambda1=0.75, lambda2=0.3, alpha=0.7):
-    sp.add_argument("--lambda1", type=_finite, default=lambda1,
+    # a None default leaves the weight to the scorer's own default and
+    # tells a flag that was given from one that was not
+    def default(value):
+        return "default %(default)s" if value is not None else "needs --su-model"
+    sp.add_argument("--lambda1", type=_weight, default=lambda1,
                     help="weight of the first recurrent stream in the linear "
-                         "mix (default %(default)s)")
-    sp.add_argument("--lambda2", type=_finite, default=lambda2,
+                         "mix (%s)" % default(lambda1))
+    sp.add_argument("--lambda2", type=_weight, default=lambda2,
                     help="weight of the succeeding-word stream in the "
-                         "log-linear mix (default %(default)s)")
+                         "log-linear mix (%s)" % default(lambda2))
     # smooth keeps the argmax only for alpha > 0
     sp.add_argument("--alpha", type=_positive, default=alpha,
                     help="softmax smoothing factor for succeeding-word "
-                         "scores (default %(default)s)")
+                         "scores (%s)" % default(alpha))
 
 
 def _add_scale_flags(sp):
@@ -135,15 +150,6 @@ def _load_rnnlm(path, want=None):
     return model
 
 
-def _interp_config(args):
-    cfg = interpolate.InterpConfig(lambda1=args.lambda1, lambda2=args.lambda2)
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise UsageError(str(e))
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -159,36 +165,17 @@ def _reject_flags(args, names, why):
                              % (name.replace("_", "-"), why))
 
 
-def _hyper_from(args):
-    hyper = models.Hyper()
-    for flag, field in (("epochs", "epochs"), ("lr", "lr"),
-                        ("lr_decay", "lr_decay"), ("streams", "num_streams"),
-                        ("bptt", "bptt"), ("clip", "clip")):
-        val = getattr(args, flag)
-        if val is not None:
-            setattr(hyper, field, val)
-    return hyper
-
-
-# the least value of each integer train flag
-_TRAIN_MINIMA = (("shortlist", 1), ("order", 1), ("hidden", 1), ("embed", 1),
-                 ("succ", 0), ("epochs", 1), ("streams", 1), ("bptt", 1))
-
-
-def _check_minima(args, minima):
-    """Reject an integer flag below its least value, before any input is
-    read or output written; an unset flag (None) passes."""
-    for name, least in minima:
-        val = getattr(args, name)
-        if val is not None and val < least:
-            raise UsageError("--%s must be at least %d" % (name.replace("_", "-"), least))
+def _given(args, *names, **renamed):
+    """Keyword arguments from the flags that were given: each of `names`
+    under its own name, each of `renamed` (keyword=flag) under its keyword.
+    A flag left out (None) is dropped, so the callee's default holds."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {key: getattr(args, name) for key, name in pairs
+            if getattr(args, name) is not None}
 
 
 def cmd_train(args):
-    # every flag is checked before the corpus is read or a file written
-    _check_minima(args, _TRAIN_MINIMA)
-    if args.discount is not None and not 0.0 < args.discount < 1.0:
-        raise UsageError("--discount must lie in (0, 1)")
+    # flag combinations are checked before the corpus is read or a file written
     if args.vocab and args.shortlist is not None:
         raise UsageError("--shortlist conflicts with --vocab")
     if args.arch == "ngram":
@@ -208,25 +195,19 @@ def cmd_train(args):
 
     if args.arch == "ngram":
         order = 3 if args.order is None else args.order
-        discount = 0.75 if args.discount is None else args.discount
-        model = ngram_mod.train_kn(train, order, discount)
+        model = ngram_mod.train_kn(train, order, **_given(args, "discount"))
         ngram_mod.save_arpa(model, args.model_out)
         for m in range(1, model.order + 1):
             print("%d-grams: %d" % (m, len(model.entries[m])))
         print("wrote %s" % args.model_out)
         return
 
-    hidden = 32 if args.hidden is None else args.hidden
-    embed = 16 if args.embed is None else args.embed
-    seed = 0 if args.seed is None else args.seed
-    if args.arch == "uni":
-        model = models.UniRnnlm(vocab, hidden, embed, seed=seed)
-    elif args.arch == "bi":
-        model = models.BiRnnlm(vocab, hidden, embed, seed=seed)
-    else:
-        succ = 1 if args.succ is None else args.succ
-        model = models.SuRnnlm(vocab, hidden, embed, succ=succ, seed=seed)
-    log = model.train(train, _hyper_from(args))
+    # --succ is given only with --arch su
+    make = {"uni": models.UniRnnlm, "bi": models.BiRnnlm, "su": models.SuRnnlm}[args.arch]
+    model = make(vocab, **_given(args, "hidden", "embed", "seed", "succ"))
+    hyper = models.Hyper(**_given(args, "epochs", "lr", "lr_decay", "bptt", "clip",
+                                  num_streams="streams"))
+    log = model.train(train, hyper)
     for i, loss in enumerate(log["epoch_loss"], 1):
         print("epoch %d loss %.6f" % (i, loss))
     # timing is run-dependent and the gradient figures are diagnostics:
@@ -247,7 +228,6 @@ def cmd_train(args):
 def cmd_ppl(args):
     if args.model is None and args.arpa is None:
         raise UsageError("need --model and/or --arpa")
-    cfg = _interp_config(args)
     if args.model and args.vocab:
         raise UsageError("the model file carries its vocabulary, drop --vocab")
     if not args.model and not args.vocab:
@@ -273,6 +253,7 @@ def cmd_ppl(args):
     # The n-gram mixes go through the n-best scorer, so --lambda1 0 and 1
     # reproduce either model's own scores there too
     if arpa is not None and model is not None:
+        cfg = interpolate.InterpConfig(lambda1=args.lambda1, lambda2=args.lambda2)
         scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, args.alpha)
         scores = scorer.word_scores(sentences)
     elif model is not None:
@@ -297,12 +278,9 @@ def cmd_ppl(args):
 # nbest
 
 def cmd_nbest(args):
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    cfg = _interp_config(args)
     if args.model and not args.arpa:
         raise UsageError("n-best rescoring needs --arpa for the first-stage mix")
-    if not args.model and (args.su_model or args.arpa):
+    if not args.model and (args.su_model or args.arpa or args.normalize_locally):
         raise UsageError("rescoring flags need --model")
     if args.lattice:
         lat = lattice_mod.load_slf(args.lattice)
@@ -314,7 +292,8 @@ def cmd_nbest(args):
         uni = _load_rnnlm(args.model, want=("uni",))
         arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
         su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
-        cfg.normalize_locally = args.normalize_locally
+        cfg = interpolate.InterpConfig(lambda1=args.lambda1, lambda2=args.lambda2,
+                                       normalize_locally=args.normalize_locally)
         lm_fn = lattice_mod.make_two_stage_scorer(arpa, uni, su, cfg,
                                                   args.alpha)
         hyps = lattice_mod.rescore_nbest(hyps, lm_fn, args.acoustic_scale,
@@ -347,9 +326,9 @@ def _rescore_one(task):
             cache=caches[0], ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
         if su is not None:
             lat = lattice_mod.rescore_lattice_su(
-                lat, su, n_hist=opts["n_hist"], lam=opts["lambda2"],
-                alpha=opts["alpha"], cache=caches[1],
-                ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
+                lat, su, n_hist=opts["n_hist"], cache=caches[1],
+                ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"],
+                **opts["su_weights"])
     except lattice_mod.LatticeError as e:
         # the expansion budget: name the lattice that outgrew it
         raise e.in_file(path) from None
@@ -359,14 +338,8 @@ def _rescore_one(task):
 
 def cmd_rescore(args):
     global _WORKERS
-    if args.ngram_approx < 1:
-        raise UsageError("--ngram-approx must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    _interp_config(args)
-    # NaN too: it would prune all but the best path
-    if args.beam is not None and not args.beam >= 0:
-        raise UsageError("--beam must be at least 0")
+    if not args.su_model:
+        _reject_flags(args, ("lambda2", "alpha"), "there is no --su-model")
     names = sorted(n for n in os.listdir(args.lattices) if n.endswith(".slf"))
     if not names:
         raise lattice_mod.LatticeError("no .slf files in %s" % args.lattices)
@@ -388,9 +361,10 @@ def cmd_rescore(args):
         os.makedirs(args.out_dir, exist_ok=True)
 
     opts = {"beam": args.beam, "n_hist": args.ngram_approx,
-            "lambda1": args.lambda1, "lambda2": args.lambda2,
-            "alpha": args.alpha, "ac_scale": args.acoustic_scale,
-            "lm_scale": args.lm_scale}
+            "lambda1": args.lambda1, "ac_scale": args.acoustic_scale,
+            "lm_scale": args.lm_scale,
+            # given only with --su-model; else the scorer's defaults hold
+            "su_weights": _given(args, "alpha", lam="lambda2")}
     tasks = [(os.path.join(args.lattices, n), opts) for n in names]
     _WORKERS = (uni, su, (lattice_mod.ProbCache(), lattice_mod.ProbCache()))
     pairs = []
@@ -426,14 +400,9 @@ def cmd_rescore(args):
 # tune
 
 def cmd_tune(args):
-    if args.lambda1 is not None:
-        if not args.su_model:
-            raise UsageError("--lambda1 fixes the linear weight of the "
-                             "--su-model grid; it needs --su-model")
-        try:
-            interpolate.InterpConfig(lambda1=args.lambda1).validate()
-        except ValueError as e:
-            raise UsageError(str(e))
+    if args.lambda1 is not None and not args.su_model:
+        raise UsageError("--lambda1 fixes the linear weight of the "
+                         "--su-model grid; it needs --su-model")
     uni = _load_rnnlm(args.model, want=("uni",))
     arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
     test = corpus_mod.TokenizedCorpus.from_file(uni.vocab, args.test)
@@ -462,12 +431,7 @@ def cmd_tune(args):
 # ---------------------------------------------------------------------------
 # fixtures
 
-_FIXTURE_MINIMA = (("train_tokens", 1), ("test_tokens", 1), ("shortlist", 1),
-                   ("order", 1), ("per_kind", 1))
-
-
 def cmd_fixtures(args):
-    _check_minima(args, _FIXTURE_MINIMA)
     os.makedirs(args.out, exist_ok=True)
     lang = synth.SyntheticLanguage()
     train_lines = synth.build_corpus_lines(lang, args.seed, args.train_tokens)
@@ -516,29 +480,29 @@ def _build_parser():
                     help="where to write the trained model")
     sp.add_argument("--vocab", metavar="FILE",
                     help="existing vocabulary file to reuse")
-    sp.add_argument("--shortlist", type=int, metavar="N",
+    sp.add_argument("--shortlist", type=_at_least(1), metavar="N",
                     help="shortlist size when building the vocabulary "
                          "(default: all words)")
     sp.add_argument("--write-vocab", metavar="FILE",
                     help="also write the vocabulary used")
-    sp.add_argument("--order", type=int, help="n-gram order (default 3)")
-    sp.add_argument("--discount", type=float,
+    sp.add_argument("--order", type=_at_least(1), help="n-gram order (default 3)")
+    sp.add_argument("--discount", type=_rule(lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
                     help="absolute discount (default 0.75)")
-    sp.add_argument("--hidden", type=int,
+    sp.add_argument("--hidden", type=_at_least(1),
                     help="recurrent layer width (default 32)")
-    sp.add_argument("--embed", type=int,
+    sp.add_argument("--embed", type=_at_least(1),
                     help="embedding width (default 16)")
-    sp.add_argument("--succ", type=int,
+    sp.add_argument("--succ", type=_at_least(0),
                     help="succeeding words read by the su model (default 1)")
-    sp.add_argument("--seed", type=int,
+    sp.add_argument("--seed", type=_at_least(0),
                     help="initialization seed (default 0)")
-    sp.add_argument("--epochs", type=int, help="training epochs (default 8)")
+    sp.add_argument("--epochs", type=_at_least(1), help="training epochs (default 8)")
     sp.add_argument("--lr", type=_positive, help="learning rate (default 0.5)")
     sp.add_argument("--lr-decay", type=_positive,
                     help="per-epoch rate decay (default 0.9)")
-    sp.add_argument("--streams", type=int,
+    sp.add_argument("--streams", type=_at_least(1),
                     help="parallel text streams per batch (default 8)")
-    sp.add_argument("--bptt", type=int,
+    sp.add_argument("--bptt", type=_at_least(1),
                     help="truncated backprop span (default 32)")
     sp.add_argument("--clip", type=_positive,
                     help="global gradient norm cap (default 5.0)")
@@ -564,7 +528,7 @@ def _build_parser():
                        help="lattice to extract hypotheses from")
     group.add_argument("--from-list", metavar="FILE",
                        help="existing n-best file to rerank")
-    sp.add_argument("--n", type=int, default=10,
+    sp.add_argument("--n", type=_at_least(1), default=10,
                     help="hypotheses to extract (default %(default)s)")
     sp.add_argument("--model", metavar="FILE",
                     help="uni model; adds full-context rescoring")
@@ -589,19 +553,20 @@ def _build_parser():
                     help="uni model for the first pass")
     sp.add_argument("--su-model", metavar="FILE",
                     help="succeeding-word model for a second pass")
-    sp.add_argument("--ngram-approx", type=int, default=3, metavar="N",
+    sp.add_argument("--ngram-approx", type=_at_least(1), default=3, metavar="N",
                     help="merge rescoring states on the last N-1 words "
                          "(default %(default)s)")
-    sp.add_argument("--beam", type=float,
+    # NaN is refused too: it would prune all but the best path
+    sp.add_argument("--beam", type=_rule(lambda v: v >= 0.0, "be a number of at least 0"),
                     help="posterior beam; prune arcs before rescoring")
     sp.add_argument("--out-dir", metavar="DIR",
                     help="write rescored lattices here")
     sp.add_argument("--refs", metavar="FILE",
                     help="references ('utt word...' lines); reports WER")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_at_least(1), default=1,
                     help="worker processes across lattices (default "
                          "%(default)s)")
-    _add_interp_flags(sp)
+    _add_interp_flags(sp, lambda2=None, alpha=None)
     _add_scale_flags(sp)
     sp.set_defaults(func=cmd_rescore)
 
@@ -614,7 +579,7 @@ def _build_parser():
                     help="uni model file")
     sp.add_argument("--su-model", metavar="FILE",
                     help="also tune the log-linear weight of this model")
-    sp.add_argument("--lambda1", type=_finite,
+    sp.add_argument("--lambda1", type=_weight,
                     help="with --su-model, grid the log-linear weight at this "
                          "linear weight instead of the tuned one (the "
                          "lambda1 grid is still printed)")
@@ -629,15 +594,15 @@ def _build_parser():
                     help="output directory")
     sp.add_argument("--seed", type=int, default=11,
                     help="generator seed (default %(default)s)")
-    sp.add_argument("--train-tokens", type=int, default=50000,
+    sp.add_argument("--train-tokens", type=_at_least(1), default=50000,
                     help="training corpus size (default %(default)s)")
-    sp.add_argument("--test-tokens", type=int, default=5000,
+    sp.add_argument("--test-tokens", type=_at_least(1), default=5000,
                     help="test corpus size (default %(default)s)")
-    sp.add_argument("--shortlist", type=int, default=15,
+    sp.add_argument("--shortlist", type=_at_least(1), default=15,
                     help="vocabulary shortlist size (default %(default)s)")
-    sp.add_argument("--order", type=int, default=3,
+    sp.add_argument("--order", type=_at_least(1), default=3,
                     help="baseline n-gram order (default %(default)s)")
-    sp.add_argument("--per-kind", type=int, default=80,
+    sp.add_argument("--per-kind", type=_at_least(1), default=80,
                     help="confusion utterances per kind (default %(default)s)")
     sp.add_argument("--extra", type=_finite, default=0.8,
                     help="score margin of the planted distractor "

@@ -97,6 +97,19 @@ class Hyper:
     bptt: int = 32
     clip: float = 5.0
 
+    def __post_init__(self):
+        # refused at construction: bptt 0 would fail inside training, epochs
+        # 0 train nothing and a clip below 0 train uphill
+        for name in ("epochs", "num_streams", "bptt"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError("%s must be at least 1, got %r" % (name, value))
+        for name in ("lr", "lr_decay", "clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError("%s must be a finite positive number, got %r"
+                                 % (name, value))
+
 
 class PrefixTrie:
     """Encoded sentences (begin and end tokens included) merged into a prefix

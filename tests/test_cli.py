@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, run in process via cli.main."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -179,40 +180,48 @@ def test_usage_errors_exit_1(ws):
         assert "usage error:" in err
 
 
+def refused(argv, flag, value, rule):
+    """Run argv plus `--flag value`; it must fail on the value's rule with
+    argparse's message and nothing on stdout."""
+    code, out, err = run(argv + ["--" + flag, value])
+    assert (code, out) == (1, ""), err
+    assert err == "usage error: argument --%s: must %s, got '%s'\n" % (flag, rule, value)
+
+
 def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
     # checked before any corpus, model or lattice is read: none of these exist
     missing = tmp_path / "missing"
+    at_least_1 = "be an integer of at least 1"
+    finite = "be a finite number"
+    positive = "be a positive number"
     for beam in (-1, "nan"):
-        code, out, err = run(["rescore", "--lattices", missing, "--model", missing,
-                              "--beam", beam])
-        assert (code, out) == (1, ""), err
-        assert err == "usage error: --beam must be at least 0\n"
+        refused(["rescore", "--lattices", missing, "--model", missing],
+                "beam", beam, "be a number of at least 0")
     train = ["train", "--train", missing, "--model-out", missing]
     bad_train = [
-        ("uni", "bptt", 0, "--bptt must be at least 1"),
-        ("uni", "bptt", -5, "--bptt must be at least 1"),
-        ("ngram", "order", 0, "--order must be at least 1"),
-        ("ngram", "discount", 1.0, "--discount must lie in (0, 1)"),
-        ("ngram", "discount", 0.0, "--discount must lie in (0, 1)"),
-        ("ngram", "discount", "nan", "--discount must lie in (0, 1)"),
-        ("su", "succ", -1, "--succ must be at least 0"),
-        ("uni", "hidden", 0, "--hidden must be at least 1"),
-        ("uni", "embed", 0, "--embed must be at least 1"),
-        ("uni", "epochs", 0, "--epochs must be at least 1"),
-        ("bi", "streams", 0, "--streams must be at least 1"),
-        ("uni", "lr", 0, "argument --lr: must be a positive number, got '0'"),
-        ("uni", "lr", -0.5, "argument --lr: must be a positive number, got '-0.5'"),
-        ("uni", "lr-decay", "nan", "argument --lr-decay: must be a finite number, got 'nan'"),
-        ("uni", "clip", -1, "argument --clip: must be a positive number, got '-1'"),
-        ("su", "clip", "nan", "argument --clip: must be a finite number, got 'nan'"),
-        ("bi", "clip", "inf", "argument --clip: must be a finite number, got 'inf'"),
+        ("uni", "bptt", 0, at_least_1),
+        ("uni", "bptt", -5, at_least_1),
+        ("ngram", "order", 0, at_least_1),
+        ("ngram", "discount", 1.0, "lie in (0, 1)"),
+        ("ngram", "discount", 0.0, "lie in (0, 1)"),
+        ("ngram", "discount", "nan", "lie in (0, 1)"),
+        ("su", "succ", -1, "be an integer of at least 0"),
+        ("uni", "hidden", 0, at_least_1),
+        ("uni", "embed", 0, at_least_1),
+        ("uni", "epochs", 0, at_least_1),
+        ("bi", "streams", 0, at_least_1),
+        ("uni", "lr", 0, positive),
+        ("uni", "lr", -0.5, positive),
+        ("uni", "lr-decay", "nan", finite),
+        ("uni", "clip", -1, positive),
+        ("su", "clip", "nan", finite),
+        ("bi", "clip", "inf", finite),
     ]
-    for arch, flag, value, message in bad_train:
-        code, out, err = run(train + ["--arch", arch, "--" + flag, value])
-        assert (code, out) == (1, ""), err
-        assert err == "usage error: %s\n" % message
-    # flags that do not go together: refused before any input is read and
-    # before --write-vocab writes anything, on a corpus that exists too
+    for arch, flag, value, rule in bad_train:
+        refused(train + ["--arch", arch], flag, value, rule)
+    # flags that do not go together, and values: refused before any input
+    # is read and before --write-vocab writes anything, on a corpus that
+    # exists too
     vocab_out = tmp_path / "v.txt"
     for train_file in (missing, ws / "fx" / "train.txt"):
         train = ["train", "--train", train_file, "--model-out", tmp_path / "m"]
@@ -226,7 +235,10 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
                 (["--arch", "uni", "--vocab", missing, "--shortlist", 5],
                  "--shortlist conflicts with --vocab"),
                 (["--arch", "ngram", "--shortlist", 0, "--write-vocab", vocab_out],
-                 "--shortlist must be at least 1")):
+                 "argument --shortlist: must be an integer of at least 1, got '0'"),
+                # np.random.default_rng refuses it, after the corpus is read
+                (["--arch", "uni", "--seed", -1, "--write-vocab", vocab_out],
+                 "argument --seed: must be an integer of at least 0, got '-1'")):
             code, out, err = run(train + argv)
             assert (code, out) == (1, ""), err
             assert err == "usage error: %s\n" % message
@@ -237,6 +249,8 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
              "rescoring flags need --model"),
             (["nbest", "--lattice", missing, "--su-model", missing],
              "rescoring flags need --model"),
+            (["nbest", "--lattice", missing, "--normalize-locally"],
+             "rescoring flags need --model"),
             (["nbest", "--lattice", missing, "--model", missing],
              "n-best rescoring needs --arpa for the first-stage mix"),
             (["ppl", "--test", missing, "--model", missing, "--vocab", missing],
@@ -244,7 +258,11 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
             (["ppl", "--test", missing, "--model", missing, "--su-model", missing],
              "--su-model rides on --arpa plus a uni --model"),
             (["ppl", "--test", missing, "--arpa", missing, "--vocab", missing,
-              "--su-model", missing], "--su-model rides on --arpa plus a uni --model")):
+              "--su-model", missing], "--su-model rides on --arpa plus a uni --model"),
+            (["rescore", "--lattices", missing, "--model", missing, "--lambda2", 0.5],
+             "--lambda2 does not apply when there is no --su-model"),
+            (["rescore", "--lattices", missing, "--model", missing, "--alpha", 0.7],
+             "--alpha does not apply when there is no --su-model")):
         code, out, err = run(argv)
         assert (code, out) == (1, ""), err
         assert err == "usage error: %s\n" % message
@@ -255,50 +273,68 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
         "ppl": ["ppl", "--test", missing, "--model", missing],
         "tune": ["tune", "--test", missing, "--arpa", missing, "--model", missing],
     }
-    finite = "must be a finite number, got 'nan'"
     bad_scoring = [
         ("nbest", "alpha", "nan", finite),
-        ("nbest", "alpha", 0, "must be a positive number, got '0'"),
+        ("nbest", "alpha", 0, positive),
         ("nbest", "acoustic-scale", "nan", finite),
         ("nbest", "lm-scale", "nan", finite),
         ("nbest", "lambda1", "nan", finite),
         ("rescore", "alpha", "nan", finite),
-        ("rescore", "alpha", -1, "must be a positive number, got '-1'"),
-        ("rescore", "lm-scale", "inf", "must be a finite number, got 'inf'"),
+        ("rescore", "alpha", -1, positive),
+        ("rescore", "lm-scale", "inf", finite),
         ("ppl", "alpha", "nan", finite),
         ("ppl", "lambda2", "nan", finite),
         ("tune", "alpha", "nan", finite),
-        ("tune", "alpha", 0, "must be a positive number, got '0'"),
+        ("tune", "alpha", 0, positive),
         ("tune", "lambda1", "nan", finite),
+        ("nbest", "lambda1", 2, "lie in [0, 1]"),
+        ("ppl", "lambda2", -1, "lie in [0, 1]"),
+        ("rescore", "lambda1", 1.5, "lie in [0, 1]"),
+        ("nbest", "n", 0, at_least_1),
+        ("rescore", "jobs", 0, at_least_1),
+        ("rescore", "jobs", -1, at_least_1),
     ]
-    for command, flag, value, message in bad_scoring:
-        code, out, err = run(commands[command] + ["--" + flag, value])
-        assert (code, out) == (1, ""), err
-        assert err == "usage error: argument --%s: %s\n" % (flag, message)
-    for argv, message in (
-            (commands["nbest"] + ["--lambda1", 2], "lambda1 must lie in [0, 1], got 2"),
-            (commands["ppl"] + ["--lambda2", -1], "lambda2 must lie in [0, 1], got -1"),
-            (commands["rescore"] + ["--lambda1", 1.5], "lambda1 must lie in [0, 1], got 1.5"),
-            (commands["nbest"] + ["--n", 0], "--n must be at least 1"),
-            (commands["rescore"] + ["--jobs", 0], "--jobs must be at least 1"),
-            (commands["rescore"] + ["--jobs", -1], "--jobs must be at least 1")):
-        code, out, err = run(argv)
-        assert (code, out) == (1, ""), err
-        assert err == "usage error: %s\n" % message
+    for command, flag, value, rule in bad_scoring:
+        refused(commands[command], flag, value, rule)
     # fixtures writes nothing, not even its --out directory
     fixtures = ["fixtures", "--out", missing]
-    for flag, value, message in (
-            ("train-tokens", 0, "--train-tokens must be at least 1"),
-            ("test-tokens", -5, "--test-tokens must be at least 1"),
-            ("shortlist", 0, "--shortlist must be at least 1"),
-            ("order", 0, "--order must be at least 1"),
-            ("per-kind", -1, "--per-kind must be at least 1"),
-            ("extra", "nan", "argument --extra: must be a finite number, got 'nan'"),
-            ("extra", "inf", "argument --extra: must be a finite number, got 'inf'")):
-        code, out, err = run(fixtures + ["--" + flag, value])
-        assert (code, out) == (1, ""), err
-        assert err == "usage error: %s\n" % message
+    for flag, value, rule in (
+            ("train-tokens", 0, at_least_1),
+            ("test-tokens", -5, at_least_1),
+            ("shortlist", 0, at_least_1),
+            ("order", 0, at_least_1),
+            ("per-kind", -1, at_least_1),
+            ("extra", "nan", finite),
+            ("extra", "inf", finite)):
+        refused(fixtures, flag, value, rule)
     assert not missing.exists()
+
+
+def test_every_numeric_flag_has_a_value_rule():
+    # a bare int or float type would let a flag skip its rule; only the
+    # fixtures seed takes any integer (random.Random)
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    bare = [(command, action.dest)
+            for command, sp in subparsers.choices.items()
+            for action in sp._actions
+            if action.type in (int, float) and (command, action.dest) != ("fixtures", "seed")]
+    assert bare == []
+
+
+def test_value_rules_keep_their_edge_values():
+    # parsing opens no file: the paths need not exist
+    parse = cli._build_parser().parse_args
+    args = parse(["rescore", "--lattices", "d", "--model", "m", "--beam", "inf",
+                  "--lambda1", "0"])
+    assert (args.beam, args.lambda1, args.lambda2, args.alpha) == (math.inf, 0.0, None, None)
+    args = parse(["train", "--arch", "su", "--train", "t", "--model-out", "m",
+                  "--succ", "0", "--seed", "0"])
+    assert (args.succ, args.seed, args.hidden) == (0, 0, None)
+    args = parse(["ppl", "--test", "t", "--lambda1", "1"])
+    assert (args.lambda1, args.lambda2, args.alpha) == (1.0, 0.3, 0.7)
+    assert parse(["fixtures", "--out", "d", "--seed", "-3"]).seed == -3
 
 
 def test_empty_reference_exits_2(ws, tmp_path):

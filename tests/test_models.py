@@ -144,6 +144,15 @@ def test_constructors_reject_non_positive_sizes():
         SuRnnlm(vocab, hidden=8, embed=4, succ=2, future_hidden=0)
 
 
+def test_hyper_rejects_values_that_cannot_train():
+    for bad in ({"epochs": 0}, {"epochs": -2}, {"num_streams": 0}, {"bptt": 0},
+                {"lr": 0.0}, {"lr": float("nan")}, {"lr_decay": -0.5},
+                {"clip": -1.0}, {"clip": float("inf")}):
+        with pytest.raises(ValueError):
+            Hyper(**bad)
+    Hyper(epochs=1, num_streams=1, bptt=1, lr=1e-9, lr_decay=1.0, clip=1e12)
+
+
 def test_su_window_validation():
     vocab, _ = tiny_setup()
     su = SuRnnlm(vocab, hidden=8, embed=4, succ=2, seed=1)
