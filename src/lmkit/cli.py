@@ -12,6 +12,9 @@ while the command line is parsed, so a bad value fails before any input
 is read or output written, always as
 `usage error: argument --FLAG: <rule>, got '<value>'`.  Flag
 combinations are checked by each command before its first read.
+
+The weight flags default to None: their defaults live in `interpolate`,
+a command passes on only the weights given, and refuses any it would not use.
 """
 
 import argparse
@@ -118,21 +121,28 @@ _positive = _rule(lambda v: v > 0.0, "be a positive number", _finite)
 _weight = _rule(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]", _finite)
 
 
-def _add_interp_flags(sp, lambda1=0.75, lambda2=0.3, alpha=0.7):
-    # a None default leaves the weight to the scorer's own default and
-    # tells a flag that was given from one that was not
-    def default(value):
-        return "default %(default)s" if value is not None else "needs --su-model"
-    sp.add_argument("--lambda1", type=_weight, default=lambda1,
+def _add_interp_flags(sp):
+    # no default: a weight left out is None, so the command tells it from
+    # one that was given, and the library's default holds
+    sp.add_argument("--lambda1", type=_weight,
                     help="weight of the first recurrent stream in the linear "
-                         "mix (%s)" % default(lambda1))
-    sp.add_argument("--lambda2", type=_weight, default=lambda2,
+                         "mix (default %s)" % interpolate.InterpConfig.lambda1)
+    sp.add_argument("--lambda2", type=_weight,
                     help="weight of the succeeding-word stream in the "
-                         "log-linear mix (%s)" % default(lambda2))
+                         "log-linear mix (default %s)" % interpolate.InterpConfig.lambda2)
+    _add_alpha_flag(sp)
+
+
+def _add_alpha_flag(sp):
     # smooth keeps the argmax only for alpha > 0
-    sp.add_argument("--alpha", type=_positive, default=alpha,
+    sp.add_argument("--alpha", type=_positive,
                     help="softmax smoothing factor for succeeding-word "
-                         "scores (%s)" % default(alpha))
+                         "scores (default %s)" % interpolate.DEFAULT_ALPHA)
+
+
+def _su_alpha(args):
+    """The smoothing factor for an su model this command scores itself."""
+    return interpolate.DEFAULT_ALPHA if args.alpha is None else args.alpha
 
 
 def _add_scale_flags(sp):
@@ -163,6 +173,12 @@ def _reject_flags(args, names, why):
         if getattr(args, name) is not None:
             raise UsageError("--%s does not apply when %s"
                              % (name.replace("_", "-"), why))
+
+
+def _reject_without_su_model(args, *names):
+    # weight flags that weigh or smooth the --su-model's scores alone
+    if not args.su_model:
+        _reject_flags(args, names, "there is no --su-model")
 
 
 def _given(args, *names, **renamed):
@@ -235,6 +251,9 @@ def cmd_ppl(args):
     su_usage = "--su-model rides on --arpa plus a uni --model"
     if args.su_model and not (args.arpa and args.model):
         raise UsageError(su_usage)
+    if not (args.arpa and args.model):
+        _reject_flags(args, ("lambda1",), "--arpa and --model are not both given")
+    _reject_without_su_model(args, "lambda2")
     model = _load_rnnlm(args.model) if args.model else None
     if model is not None and model.arch != "uni":
         if args.su_model:
@@ -242,6 +261,9 @@ def cmd_ppl(args):
         if args.arpa:
             raise UsageError("linear interpolation needs a normalized "
                              "left-to-right model, not %s" % model.arch)
+    # before any read without --model, else after the model's header
+    if not (args.su_model or (model is not None and model.arch == "su")):
+        _reject_flags(args, ("alpha",), "no su model is scored")
     vocab = model.vocab if model is not None else corpus_mod.Vocabulary.load(args.vocab)
     arpa = ngram_mod.load_arpa(args.arpa, vocab) if args.arpa else None
     su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
@@ -253,11 +275,11 @@ def cmd_ppl(args):
     # The n-gram mixes go through the n-best scorer, so --lambda1 0 and 1
     # reproduce either model's own scores there too
     if arpa is not None and model is not None:
-        cfg = interpolate.InterpConfig(lambda1=args.lambda1, lambda2=args.lambda2)
-        scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, args.alpha)
+        cfg = interpolate.InterpConfig(**_given(args, "lambda1", "lambda2"))
+        scorer = lattice_mod.make_two_stage_scorer(arpa, model, su, cfg, **_given(args, "alpha"))
         scores = scorer.word_scores(sentences)
     elif model is not None:
-        scores = model.word_logprobs(sentences, args.alpha if model.arch == "su" else 1.0)
+        scores = model.word_logprobs(sentences, _su_alpha(args) if model.arch == "su" else 1.0)
     else:
         scores = [arpa.sentence_word_logprobs(ids) for ids in sentences]
     pseudo = su is not None or (model is not None and model.arch != "uni")
@@ -280,8 +302,10 @@ def cmd_ppl(args):
 def cmd_nbest(args):
     if args.model and not args.arpa:
         raise UsageError("n-best rescoring needs --arpa for the first-stage mix")
-    if not args.model and (args.su_model or args.arpa or args.normalize_locally):
+    if not args.model and (args.su_model or args.arpa or args.normalize_locally
+                           or args.lambda1 is not None):
         raise UsageError("rescoring flags need --model")
+    _reject_without_su_model(args, "lambda2", "alpha")
     if args.lattice:
         lat = lattice_mod.load_slf(args.lattice)
         hyps = lattice_mod.nbest(lat, args.n, args.acoustic_scale,
@@ -292,10 +316,10 @@ def cmd_nbest(args):
         uni = _load_rnnlm(args.model, want=("uni",))
         arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
         su = _load_rnnlm(args.su_model, want=("su",)) if args.su_model else None
-        cfg = interpolate.InterpConfig(lambda1=args.lambda1, lambda2=args.lambda2,
-                                       normalize_locally=args.normalize_locally)
+        cfg = interpolate.InterpConfig(normalize_locally=args.normalize_locally,
+                                       **_given(args, "lambda1", "lambda2"))
         lm_fn = lattice_mod.make_two_stage_scorer(arpa, uni, su, cfg,
-                                                  args.alpha)
+                                                  **_given(args, "alpha"))
         hyps = lattice_mod.rescore_nbest(hyps, lm_fn, args.acoustic_scale,
                                          args.lm_scale)
     if not hyps:
@@ -322,8 +346,9 @@ def _rescore_one(task):
                                 opts["lm_scale"])
     try:
         lat = lattice_mod.rescore_lattice_uni(
-            lat, uni, n_hist=opts["n_hist"], lam=opts["lambda1"],
-            cache=caches[0], ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"])
+            lat, uni, n_hist=opts["n_hist"], cache=caches[0],
+            ac_scale=opts["ac_scale"], lm_scale=opts["lm_scale"],
+            **opts["uni_weights"])
         if su is not None:
             lat = lattice_mod.rescore_lattice_su(
                 lat, su, n_hist=opts["n_hist"], cache=caches[1],
@@ -338,8 +363,7 @@ def _rescore_one(task):
 
 def cmd_rescore(args):
     global _WORKERS
-    if not args.su_model:
-        _reject_flags(args, ("lambda2", "alpha"), "there is no --su-model")
+    _reject_without_su_model(args, "lambda2", "alpha")
     names = sorted(n for n in os.listdir(args.lattices) if n.endswith(".slf"))
     if not names:
         raise lattice_mod.LatticeError("no .slf files in %s" % args.lattices)
@@ -360,10 +384,10 @@ def cmd_rescore(args):
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
+    # only the weights that were given: the rescorers' defaults hold
     opts = {"beam": args.beam, "n_hist": args.ngram_approx,
-            "lambda1": args.lambda1, "ac_scale": args.acoustic_scale,
-            "lm_scale": args.lm_scale,
-            # given only with --su-model; else the scorer's defaults hold
+            "ac_scale": args.acoustic_scale, "lm_scale": args.lm_scale,
+            "uni_weights": _given(args, lam="lambda1"),
             "su_weights": _given(args, "alpha", lam="lambda2")}
     tasks = [(os.path.join(args.lattices, n), opts) for n in names]
     _WORKERS = (uni, su, (lattice_mod.ProbCache(), lattice_mod.ProbCache()))
@@ -400,9 +424,8 @@ def cmd_rescore(args):
 # tune
 
 def cmd_tune(args):
-    if args.lambda1 is not None and not args.su_model:
-        raise UsageError("--lambda1 fixes the linear weight of the "
-                         "--su-model grid; it needs --su-model")
+    # --lambda1 fixes the linear weight of the --su-model grid
+    _reject_without_su_model(args, "lambda1", "alpha")
     uni = _load_rnnlm(args.model, want=("uni",))
     arpa = ngram_mod.load_arpa(args.arpa, uni.vocab)
     test = corpus_mod.TokenizedCorpus.from_file(uni.vocab, args.test)
@@ -420,7 +443,7 @@ def cmd_tune(args):
         lam1 = args.lambda1
     # remix cheaply: freeze the linear stage, grid the log-linear weight
     su_pairs = [[(interpolate.linear_logprob(a, b, lam1), s) for (a, b), s in zip(sent, lp_s)]
-                for sent, lp_s in zip(pair_lists, su.word_logprobs(test.sentences, args.alpha))]
+                for sent, lp_s in zip(pair_lists, su.word_logprobs(test.sentences, _su_alpha(args)))]
     lam2, ppl2, table2 = interpolate.tune(su_pairs, interpolate.loglinear_score)
     for lam, val in table2:
         print("lambda2 %.2f pseudo_ppl %.4f" % (lam, val))
@@ -566,7 +589,7 @@ def _build_parser():
     sp.add_argument("--jobs", type=_at_least(1), default=1,
                     help="worker processes across lattices (default "
                          "%(default)s)")
-    _add_interp_flags(sp, lambda2=None, alpha=None)
+    _add_interp_flags(sp)
     _add_scale_flags(sp)
     sp.set_defaults(func=cmd_rescore)
 
@@ -583,9 +606,7 @@ def _build_parser():
                     help="with --su-model, grid the log-linear weight at this "
                          "linear weight instead of the tuned one (the "
                          "lambda1 grid is still printed)")
-    sp.add_argument("--alpha", type=_positive, default=0.7,
-                    help="smoothing factor for succeeding-word scores "
-                         "(default %(default)s)")
+    _add_alpha_flag(sp)
     sp.set_defaults(func=cmd_tune)
 
     sp = sub.add_parser("fixtures",

@@ -11,12 +11,17 @@ Every caller that mixes two log scores linearly (ppl, tune, n-best
 reranking without a succeeding-word model, linear lattice rescoring) goes
 through `linear_logprob`, so weight 0 and 1 give either stream's own scores
 bit for bit everywhere: exp and log do not round trip.
+
+Each weight's default is written here alone: lambda1 and lambda2 in
+`InterpConfig`, and su smoothing's alpha, which callers pass next to a
+config, as `DEFAULT_ALPHA`.  The rescorers and the command line read them.
 """
 
 import math
 from dataclasses import dataclass
 
 DEFAULT_GRID = tuple(i / 20 for i in range(21))
+DEFAULT_ALPHA = 0.7
 
 
 @dataclass
@@ -25,7 +30,8 @@ class InterpConfig:
     lambda2: float = 0.3    # weight of the third stream in the log-linear mix
     normalize_locally: bool = False
 
-    def validate(self):
+    def __post_init__(self):
+        # refused at construction; NaN fails the range test too
         for name in ("lambda1", "lambda2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -71,11 +77,9 @@ def loglinear_score(lp_a, lp_b, lam):
     return (1.0 - lam) * lp_a + lam * lp_b
 
 
-def two_stage(p_a, p_b, p_c, config=None):
+def two_stage(p_a, p_b, p_c, config):
     """Linear mix of p_a and p_b under lambda1, then log-linear mix of its
     log with ln p_c under lambda2.  Returns a natural-log score."""
-    if config is None:
-        config = InterpConfig()
     lp = safe_ln(linear(p_a, p_b, config.lambda1))
     return loglinear_score(lp, safe_ln(p_c), config.lambda2)
 

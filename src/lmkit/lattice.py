@@ -740,8 +740,8 @@ def _combine_fn(combine, lam):
     raise ValueError("unknown combine rule %r" % (combine,))
 
 
-def rescore_lattice_uni(lat, model, n_hist=3, lam=0.75, cache=None,
-                        ac_scale=1.0, lm_scale=1.0, combine="linear"):
+def rescore_lattice_uni(lat, model, n_hist=3, lam=interpolate.InterpConfig.lambda1,
+                        cache=None, ac_scale=1.0, lm_scale=1.0, combine="linear"):
     """Rescore with a left-to-right model, mixing its word probability
     linearly with the existing arc probability under weight lam.  States
     merge on the last n_hist - 1 words; an n_hist above the number of
@@ -750,7 +750,8 @@ def rescore_lattice_uni(lat, model, n_hist=3, lam=0.75, cache=None,
                     cache, ac_scale, lm_scale)
 
 
-def rescore_lattice_su(lat, model, n_hist=3, lam=0.3, alpha=0.7, cache=None,
+def rescore_lattice_su(lat, model, n_hist=3, lam=interpolate.InterpConfig.lambda2,
+                       alpha=interpolate.DEFAULT_ALPHA, cache=None,
                        ac_scale=1.0, lm_scale=1.0, combine="loglinear"):
     """Rescore with a succeeding-word model, mixing its smoothed log
     probability log-linearly with the existing arc score under weight lam.
@@ -783,10 +784,9 @@ def rescore_nbest(hyps, lm_fn, ac_scale=1.0, lm_scale=1.0):
 class TwoStageScorer:
     """Two-stage hypothesis scorer; see make_two_stage_scorer."""
 
-    def __init__(self, ngram, uni, su=None, config=None, alpha=0.7):
+    def __init__(self, ngram, uni, su=None, config=None, alpha=interpolate.DEFAULT_ALPHA):
         if config is None:
             config = interpolate.InterpConfig()
-        config.validate()
         self.ngram = ngram
         self.uni = uni
         self.su = su
@@ -860,7 +860,7 @@ class TwoStageScorer:
         return out
 
 
-def make_two_stage_scorer(ngram, uni, su=None, config=None, alpha=0.7):
+def make_two_stage_scorer(ngram, uni, su=None, config=None, alpha=interpolate.DEFAULT_ALPHA):
     """Build an lm_fn for rescore_nbest.  Per word, the n-gram and
     left-to-right probabilities mix linearly; with a succeeding-word model
     its smoothed probability then mixes in log-linearly.  With

@@ -15,7 +15,7 @@ import pytest
 
 from lmkit import cli, lattice, models, ngram, nn
 from lmkit.corpus import TokenizedCorpus, Vocabulary
-from lmkit.interpolate import InterpConfig, two_stage
+from lmkit.interpolate import DEFAULT_ALPHA, InterpConfig, two_stage
 from lmkit.lattice import make_two_stage_scorer
 from oracles import future_window, step
 
@@ -266,6 +266,38 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
         code, out, err = run(argv)
         assert (code, out) == (1, ""), err
         assert err == "usage error: %s\n" % message
+    # weights the command would not use, with the output file it would write
+    out_file = tmp_path / "out.txt"
+    nbest = ["nbest", "--lattice", missing, "--out", out_file]
+    ppl_arpa = ["ppl", "--test", missing, "--arpa", missing, "--vocab", missing,
+                "--report", out_file]
+    for argv, message in (
+            (nbest + ["--lambda1", 0.2, "--lambda2", 0.9, "--alpha", 0.1],
+             "rescoring flags need --model"),
+            (nbest + ["--model", missing, "--arpa", missing, "--lambda2", 0.9],
+             "--lambda2 does not apply when there is no --su-model"),
+            (nbest + ["--model", missing, "--arpa", missing, "--alpha", 0.2],
+             "--alpha does not apply when there is no --su-model"),
+            (ppl_arpa + ["--lambda1", 0.2],
+             "--lambda1 does not apply when --arpa and --model are not both given"),
+            (ppl_arpa + ["--lambda2", 0.9],
+             "--lambda2 does not apply when there is no --su-model"),
+            (ppl_arpa + ["--alpha", 0.2], "--alpha does not apply when no su model is scored"),
+            (["ppl", "--test", missing, "--model", missing, "--lambda1", 0.2],
+             "--lambda1 does not apply when --arpa and --model are not both given"),
+            (["tune", "--test", missing, "--arpa", missing, "--model", missing,
+              "--alpha", 0.2], "--alpha does not apply when there is no --su-model")):
+        code, out, err = run(argv)
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: %s\n" % message
+        assert not out_file.exists()
+    # a --config file's weights are flags too
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text("lambda2=0.9\n", encoding="utf-8")
+    code, out, err = run(["--config", cfg] + nbest + ["--model", missing, "--arpa", missing])
+    assert (code, out, err) == (1, "", "usage error: --lambda2 does not apply when "
+                                       "there is no --su-model\n")
+    assert not out_file.exists()
     # scoring weights: NaN would be ranked, and alpha <= 0 loses the argmax
     commands = {
         "nbest": ["nbest", "--lattice", missing, "--model", missing, "--arpa", missing],
@@ -310,6 +342,17 @@ def test_bad_numeric_flags_exit_1_before_reading_inputs(ws, tmp_path):
     assert not missing.exists()
 
 
+def test_alpha_without_an_su_model_to_smooth_exits_1(ws, tmp_path):
+    # known only once the model's header is read, before the test text is
+    report = tmp_path / "rep.txt"
+    for model in ("uni.model", "bi.model"):
+        code, out, err = run(["ppl", "--test", tmp_path / "missing", "--model", ws / model,
+                              "--alpha", 0.5, "--report", report])
+        assert (code, out) == (1, ""), err
+        assert err == "usage error: --alpha does not apply when no su model is scored\n"
+    assert not report.exists()
+
+
 def test_every_numeric_flag_has_a_value_rule():
     # a bare int or float type would let a flag skip its rule; only the
     # fixtures seed takes any integer (random.Random)
@@ -333,7 +376,7 @@ def test_value_rules_keep_their_edge_values():
                   "--succ", "0", "--seed", "0"])
     assert (args.succ, args.seed, args.hidden) == (0, 0, None)
     args = parse(["ppl", "--test", "t", "--lambda1", "1"])
-    assert (args.lambda1, args.lambda2, args.alpha) == (1.0, 0.3, 0.7)
+    assert (args.lambda1, args.lambda2, args.alpha) == (1.0, None, None)
     assert parse(["fixtures", "--out", "d", "--seed", "-3"]).seed == -3
 
 
@@ -880,9 +923,25 @@ def test_config_file_sets_defaults_but_flags_win(ws, tmp_path):
 
 
 def test_help_exits_zero():
-    with pytest.raises(SystemExit) as e:
-        run(["--help"])
-    assert e.value.code == 0
-    with pytest.raises(SystemExit) as e:
-        run(["rescore", "--help"])
-    assert e.value.code == 0
+    # argparse formats a help text only when --help runs
+    def help_text(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as e:
+            cli.main(argv + ["--help"])
+        assert e.value.code == 0
+        return " ".join(out.getvalue().split())
+
+    help_text([])
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    # each weight flag's help names the default the library applies
+    defaults = {"lambda1": InterpConfig.lambda1, "lambda2": InterpConfig.lambda2,
+                "alpha": DEFAULT_ALPHA}
+    weights = {"ppl": defaults, "nbest": defaults, "rescore": defaults,
+               "tune": {"alpha": DEFAULT_ALPHA}}
+    for command, sp in subparsers.choices.items():
+        text = help_text([command])
+        for dest, value in weights.get(command, {}).items():
+            action = next(a for a in sp._actions if a.dest == dest)
+            assert "(default %s)" % value in action.help, (command, dest)
+            assert " ".join(action.help.split()) in text, (command, dest)

@@ -64,10 +64,12 @@ def test_safe_ln_handles_zero():
 
 def test_config_validates_range():
     with pytest.raises(ValueError):
-        InterpConfig(lambda1=1.5).validate()
+        InterpConfig(lambda1=1.5)
     with pytest.raises(ValueError):
-        InterpConfig(lambda2=-0.1).validate()
-    InterpConfig().validate()
+        InterpConfig(lambda2=-0.1)
+    with pytest.raises(ValueError):
+        InterpConfig(lambda1=float("nan"))
+    InterpConfig()
 
 
 def test_grid_search_finds_quadratic_minimum():
