@@ -18,6 +18,7 @@ a command passes on only the weights given, and refuses any it would not use.
 """
 
 import argparse
+import concurrent.futures
 import contextlib
 import math
 import multiprocessing
@@ -395,10 +396,13 @@ def cmd_rescore(args):
     with contextlib.ExitStack() as stack:
         if args.jobs > 1:
             # fork gives every worker its own copy of the models and of the
-            # cache pair; results come back in input order
-            pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(args.jobs))
-            results = pool.imap(_rescore_one, tasks)
+            # cache pair; results come back in input order.  However the
+            # block ends, tasks not yet started are cancelled and the
+            # workers joined, so a lattice that fails ends the run
+            pool = concurrent.futures.ProcessPoolExecutor(
+                args.jobs, mp_context=multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_rescore_one, tasks)
         else:
             results = map(_rescore_one, tasks)
         # each result is written and dropped as it arrives, and every cache

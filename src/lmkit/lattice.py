@@ -5,6 +5,23 @@ carry times; arcs carry a surface word plus acoustic and language-model
 scores, both natural-log.  A path scores ac_scale * sum(acoustic) +
 lm_scale * sum(lm) over its arcs.
 
+Lattice.finish requires one node without in-arcs, one without out-arcs
+and no cycle, which puts every node on a path from the initial to the
+final node: walking in-arcs back from any node must end, and only at the
+initial node; walking out-arcs forward, only at the final node.  So no
+reachability walk is needed, and every search below reaches every node.
+
+Search is two sweeps over one list of arc weights, ac_scale * ac +
+lm_scale * lm, under a semiring's addition (Mohri's single-source
+shortest distance): the forward sweep pushes each node's value along its
+out-arcs in topological order, the backward sweep pulls each node's
+value over its out-arcs in arc-id order, in reverse topological order.
+With log-add they give the forward-backward sums behind arc posteriors
+and pruning; with max the backward sweep is n-best's exact cost-to-go,
+and over weights of 0.0 (kept) and -inf (cut) the two mark the arcs a
+prune leaves on no complete path.  best_path keeps its own forward loop,
+in which the first of tied arrivals wins.
+
 Rescoring replaces arc lm scores with a combination of the old score and a
 recurrent model's word probability.  Exact rescoring would need one hidden
 state per distinct path prefix, so prefixes are merged when they agree on
@@ -141,21 +158,6 @@ class Lattice:
         if len(topo) != n:
             raise LatticeError("lattice contains a cycle")
         self.topo = topo
-        for name, frontier, step in (
-                ("unreachable", [self.initial], self.out_arcs),
-                ("cannot reach the final node", [self.final], self.in_arcs)):
-            seen = set(frontier)
-            while frontier:
-                u = frontier.pop()
-                for aid in step[u]:
-                    a = self.arcs[aid]
-                    v = a.end if step is self.out_arcs else a.start
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            if len(seen) != n:
-                missing = min(set(range(n)) - seen)
-                raise LatticeError("node %d %s" % (missing, name))
         for a in self.arcs:
             if self.nodes[a.end].time + 1e-9 < self.nodes[a.start].time:
                 raise LatticeError("arc %d runs backwards in time" % a.id)
@@ -284,8 +286,32 @@ class Hypothesis:
     total: float
 
 
-def _arc_weight(arc, ac_scale, lm_scale):
-    return ac_scale * arc.ac + lm_scale * arc.lm
+def _arc_weights(lat, ac_scale, lm_scale):
+    return [ac_scale * a.ac + lm_scale * a.lm for a in lat.arcs]
+
+
+def _forward(lat, weights, add):
+    """Per node, the add-sum over its paths from the initial node of their
+    weight sums: pushed along out-arcs in topological order."""
+    alpha = [NEG_INF] * len(lat.nodes)
+    alpha[lat.initial] = 0.0
+    for u in lat.topo:
+        for aid in lat.out_arcs[u]:
+            v = lat.arcs[aid].end
+            alpha[v] = add(alpha[v], alpha[u] + weights[aid])
+    return alpha
+
+
+def _backward(lat, weights, add):
+    """Per node, the add-sum over its paths to the final node of their
+    weight sums: pulled over out-arcs in arc-id order, in reverse
+    topological order."""
+    beta = [NEG_INF] * len(lat.nodes)
+    beta[lat.final] = 0.0
+    for u in reversed(lat.topo):
+        for aid in lat.out_arcs[u]:
+            beta[u] = add(beta[u], weights[aid] + beta[lat.arcs[aid].end])
+    return beta
 
 
 def _make_hypothesis(lat, arc_ids, ac_scale, lm_scale):
@@ -299,17 +325,16 @@ def _make_hypothesis(lat, arc_ids, ac_scale, lm_scale):
 def best_path(lat, ac_scale=1.0, lm_scale=1.0):
     """Highest-scoring path.  Arcs relax in ascending id order with a strict
     comparison, so ties resolve the same way every run."""
+    weights = _arc_weights(lat, ac_scale, lm_scale)
     score = {lat.initial: 0.0}
     back = {}
     for u in lat.topo:
-        if u not in score:
-            continue
         for aid in lat.out_arcs[u]:
-            a = lat.arcs[aid]
-            s = score[u] + _arc_weight(a, ac_scale, lm_scale)
-            if a.end not in score or s > score[a.end]:
-                score[a.end] = s
-                back[a.end] = aid
+            v = lat.arcs[aid].end
+            s = score[u] + weights[aid]
+            if v not in score or s > score[v]:
+                score[v] = s
+                back[v] = aid
     arc_ids = []
     u = lat.final
     while u != lat.initial:
@@ -326,15 +351,8 @@ def nbest(lat, n, ac_scale=1.0, lm_scale=1.0):
     duplicate word sequences are dropped; ties order by arc-id sequence."""
     if n <= 0:
         return []
-    togo = {lat.final: 0.0}
-    for u in reversed(lat.topo):
-        if u == lat.final:
-            continue
-        best = NEG_INF
-        for aid in lat.out_arcs[u]:
-            a = lat.arcs[aid]
-            best = max(best, _arc_weight(a, ac_scale, lm_scale) + togo[a.end])
-        togo[u] = best
+    weights = _arc_weights(lat, ac_scale, lm_scale)
+    togo = _backward(lat, weights, max)
     heap = [(-togo[lat.initial], (), lat.initial, 0.0)]
     seen = set()
     out = []
@@ -347,9 +365,9 @@ def nbest(lat, n, ac_scale=1.0, lm_scale=1.0):
                 out.append(_make_hypothesis(lat, list(arc_ids), ac_scale, lm_scale))
             continue
         for aid in lat.out_arcs[u]:
-            a = lat.arcs[aid]
-            g2 = g + _arc_weight(a, ac_scale, lm_scale)
-            heapq.heappush(heap, (-(g2 + togo[a.end]), arc_ids + (aid,), a.end, g2))
+            v = lat.arcs[aid].end
+            g2 = g + weights[aid]
+            heapq.heappush(heap, (-(g2 + togo[v]), arc_ids + (aid,), v, g2))
     return out
 
 
@@ -391,32 +409,22 @@ def _logadd(a, b):
     return a + math.log1p(math.exp(b - a))
 
 
-def _alpha_beta(lat, ac_scale, lm_scale):
-    alpha = [NEG_INF] * len(lat.nodes)
-    beta = [NEG_INF] * len(lat.nodes)
-    alpha[lat.initial] = 0.0
-    for u in lat.topo:
-        for aid in lat.out_arcs[u]:
-            a = lat.arcs[aid]
-            alpha[a.end] = _logadd(alpha[a.end],
-                                   alpha[u] + _arc_weight(a, ac_scale, lm_scale))
-    beta[lat.final] = 0.0
-    for u in reversed(lat.topo):
-        for aid in lat.out_arcs[u]:
-            a = lat.arcs[aid]
-            beta[u] = _logadd(beta[u],
-                              _arc_weight(a, ac_scale, lm_scale) + beta[a.end])
-    return alpha, beta, alpha[lat.final]
+def _log_posteriors(lat, weights, add=_logadd):
+    """Per arc, the add-sum of the weight sums of the paths through it,
+    less that of all paths; and the latter."""
+    alpha = _forward(lat, weights, add)
+    beta = _backward(lat, weights, add)
+    log_z = alpha[lat.final]
+    return [alpha[a.start] + weights[a.id] + beta[a.end] - log_z
+            for a in lat.arcs], log_z
 
 
 def arc_posteriors(lat, ac_scale=1.0, lm_scale=1.0):
     """Per-arc posterior probabilities from the forward-backward sums,
     indexed by arc id, plus the total path mass.  The posteriors of the arcs
     crossing any topological cut sum to one."""
-    alpha, beta, log_z = _alpha_beta(lat, ac_scale, lm_scale)
-    post = [math.exp(alpha[a.start] + _arc_weight(a, ac_scale, lm_scale)
-                     + beta[a.end] - log_z) for a in lat.arcs]
-    return post, log_z
+    log_post, log_z = _log_posteriors(lat, _arc_weights(lat, ac_scale, lm_scale))
+    return [math.exp(p) for p in log_post], log_z
 
 
 def prune(lat, beam, ac_scale=1.0, lm_scale=1.0):
@@ -425,30 +433,15 @@ def prune(lat, beam, ac_scale=1.0, lm_scale=1.0):
     original order."""
     if not beam >= 0:    # NaN too
         raise ValueError("beam must be nonnegative")
-    alpha, beta, log_z = _alpha_beta(lat, ac_scale, lm_scale)
-    log_post = [alpha[a.start] + _arc_weight(a, ac_scale, lm_scale)
-                + beta[a.end] - log_z for a in lat.arcs]
+    log_post, _ = _log_posteriors(lat, _arc_weights(lat, ac_scale, lm_scale))
     cutoff = max(log_post) - beam
-    keep = {a.id for a in lat.arcs if log_post[a.id] >= cutoff}
-    keep.update(best_path(lat, ac_scale, lm_scale).arc_ids)
-    # drop arcs stranded by the cut: both endpoints must still connect
-    fwd = {lat.initial}
-    for u in lat.topo:
-        if u not in fwd:
-            continue
-        for aid in lat.out_arcs[u]:
-            if aid in keep:
-                fwd.add(lat.arcs[aid].end)
-    bwd = {lat.final}
-    for u in reversed(lat.topo):
-        if u not in bwd:
-            continue
-        for aid in lat.in_arcs[u]:
-            if aid in keep:
-                bwd.add(lat.arcs[aid].start)
-    live = fwd & bwd
-    arcs_kept = [a for a in lat.arcs
-                 if a.id in keep and a.start in live and a.end in live]
+    keep = [0.0 if p >= cutoff else NEG_INF for p in log_post]
+    for aid in best_path(lat, ac_scale, lm_scale).arc_ids:
+        keep[aid] = 0.0
+    # drop arcs stranded by the cut: under max, a kept arc's log posterior
+    # is 0.0 if a path of kept arcs runs through it, else -inf
+    on_path, _ = _log_posteriors(lat, keep, max)
+    arcs_kept = [a for a in lat.arcs if on_path[a.id] == 0.0]
     node_ids = sorted({a.start for a in arcs_kept} | {a.end for a in arcs_kept})
     node_map = {old: new for new, old in enumerate(node_ids)}
     nodes = [Node(node_map[i], lat.nodes[i].time) for i in node_ids]

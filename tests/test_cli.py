@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -630,6 +631,25 @@ def test_rescore_expansion_budget_exits_2(ws, tmp_path, monkeypatch):
         assert code == 2, err
         assert err == "data error: %s: rescoring expanded the lattice past %d states\n" \
             % (worst, most - 1)
+
+
+def test_parallel_rescore_failures_end_every_run(ws, monkeypatch):
+    # a worker's failure must end the run however the pool's tasks were
+    # placed when it arrived; each run gets a deadline, so a hang fails
+    # the test rather than the suite
+    fx = ws / "fx"
+    monkeypatch.setattr(lattice, "MAX_STATES", 16)
+    argv = ["rescore", "--lattices", fx / "lattices", "--model", ws / "uni.model",
+            "--jobs", 2]
+    want = run(argv[:-2])
+    assert want[0] == 2
+    for _ in range(100):
+        done = []
+        worker = threading.Thread(target=lambda: done.append(run(argv)), daemon=True)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive()
+        assert done == [want]
 
 
 def test_non_finite_scores_exit_2(ws, tmp_path):

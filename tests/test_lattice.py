@@ -14,7 +14,7 @@ from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
                            load_slf, make_two_stage_scorer, nbest, parse_slf,
                            prune, read_nbest, rescore_lattice_su,
                            rescore_lattice_uni, rescore_nbest, save_slf,
-                           write_slf)
+                           write_nbest, write_slf)
 from lmkit.models import SuRnnlm, UniRnnlm
 from lmkit.ngram import train_kn
 from lmkit.corpus import TokenizedCorpus
@@ -49,6 +49,24 @@ def test_finish_validates_structure():
     with pytest.raises(LatticeError):   # two initial nodes
         Lattice([Node(0, 0.0), Node(1, 0.0), Node(2, 1.0)],
                 [Arc(0, 0, 2, "a", 0.0, 0.0), Arc(1, 1, 2, "b", 0.0, 0.0)]).finish()
+    # one initial node, one final node and no cycle put every node on an
+    # initial-to-final path, so these rules alone refuse a node that is
+    # unreachable or cannot reach the final node
+    with pytest.raises(LatticeError, match="contains a cycle"):
+        Lattice([Node(0, 0.0), Node(1, 1.0), Node(2, 2.0), Node(3, 3.0)],
+                [Arc(0, 0, 1, "a"), Arc(1, 1, 2, "b"), Arc(2, 2, 1, "c"),
+                 Arc(3, 2, 3, "d")]).finish()
+    with pytest.raises(LatticeError, match="contains a cycle"):
+        # a two-node cycle apart from the path 0 -> 1
+        Lattice([Node(0, 0.0), Node(1, 1.0), Node(2, 0.0), Node(3, 1.0)],
+                [Arc(0, 0, 1, "a"), Arc(1, 2, 3, "b"), Arc(2, 3, 2, "c")]).finish()
+    with pytest.raises(LatticeError, match="expected one initial node, found 2"):
+        # node 3 is a second source, its arc joining the path 0 -> 1 -> 2
+        Lattice([Node(0, 0.0), Node(1, 1.0), Node(2, 2.0), Node(3, 0.5)],
+                [Arc(0, 0, 1, "a"), Arc(1, 1, 2, "b"), Arc(2, 3, 2, "c")]).finish()
+    with pytest.raises(LatticeError, match="arc 1 runs backwards in time"):
+        Lattice([Node(0, 0.0), Node(1, 2.0), Node(2, 1.0)],
+                [Arc(0, 0, 1, "a"), Arc(1, 1, 2, "b")]).finish()
     lat = diamond()
     assert lat.initial == 0 and lat.final == 3
     assert lat.topo[0] == 0 and lat.topo[-1] == 3
@@ -213,15 +231,17 @@ def test_prune_keeps_best_path_and_respects_beam():
         after = best_path(tight)
         assert after.words == before.words
         assert abs(after.total - before.total) < 1e-9
-        # every surviving arc sits within the beam of the best log posterior
+        # renumbering changes ids, so compare (word, ac, lm) rows: prune
+        # keeps input order, so the kept rows are a subsequence of the
+        # input arcs that pass the cutoff or lie on the best path
         post, _ = arc_posteriors(lat)
-        lo = max(math.log(p) for p in post) - 1e-9
-        kept = {(a.start, a.end, a.word, a.ac, a.lm) for a in tight.arcs}
-        for a in lat.arcs:
-            key = (a.start, a.end, a.word, a.ac, a.lm)
-            # renumbering makes ids differ; compare by content instead
-            if math.log(max(post[a.id], 1e-300)) < lo and a.id not in before.arc_ids:
-                assert key not in kept or True
+        top = max(math.log(p) for p in post)
+        for beam in (0.0, 0.5, 1.0, 2.0):
+            allowed = iter([(a.word, a.ac, a.lm) for a in lat.arcs
+                            if math.log(max(post[a.id], 1e-300)) >= top - beam - 1e-9
+                            or a.id in before.arc_ids])
+            assert all(row in allowed for row in
+                       ((a.word, a.ac, a.lm) for a in prune(lat, beam).arcs))
     with pytest.raises(ValueError):
         prune(diamond(), -1.0)
 
@@ -234,6 +254,30 @@ def test_prune_rejects_a_nan_beam():
     assert len(prune(lat, 1e9).arcs) == 9
     with pytest.raises(ValueError):
         prune(lat, float("nan"))
+
+
+# sha256 of the write_slf texts of prune and of the write_nbest texts of
+# nbest over the SEARCH_SEED lattices, joined in order, as the search wrote
+# them before its loops became one forward and one backward sweep
+SEARCH_SEED = 73
+PINNED_PRUNE_SHA256 = "f5664a90584dd14d16b2dc650f85f07cd2740719cac23eb52b15b69bc484b1e9"
+PINNED_NBEST_SHA256 = "b686739e124a17abb3e6765f9c5b745548d84feb435c188433e906110c899ec3"
+
+
+def test_search_bytes_match_pinned_texts(tmp_path):
+    rng = random.Random(SEARCH_SEED)
+    lats = [random_dag_lattice(rng, ["u", "v", "w", "x"]) for _ in range(40)]
+    slf, nb = hashlib.sha256(), hashlib.sha256()
+    path = str(tmp_path / "search.nbest")
+    for lat in lats:
+        for ac_scale, lm_scale in ((1.0, 1.0), (0.0625, 1.0), (1.0, 12.0)):
+            for beam in (0.0, 1.0, 3.0, 1e9):
+                slf.update(write_slf(prune(lat, beam, ac_scale, lm_scale)).encode())
+            write_nbest(nbest(lat, 10, ac_scale, lm_scale), path)
+            with open(path, "rb") as fh:
+                nb.update(fh.read())
+    assert slf.hexdigest() == PINNED_PRUNE_SHA256
+    assert nb.hexdigest() == PINNED_NBEST_SHA256
 
 
 def test_prune_drops_the_weak_diamond_branch():
