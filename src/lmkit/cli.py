@@ -382,6 +382,12 @@ def cmd_rescore(args):
                     raise corpus_mod.DataError("duplicate reference for %s" % parts[0],
                                                line=ln, path=args.refs)
                 refs[parts[0]] = parts[1:]
+        # before the first lattice, so a run that cannot score prints and
+        # writes nothing
+        for name in names:
+            if name[:-4] not in refs:
+                raise corpus_mod.CorpusError("no reference for %s" % name[:-4],
+                                             path=args.refs)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
@@ -414,9 +420,6 @@ def cmd_rescore(args):
                 corpus_mod.write_text(os.path.join(args.out_dir, name), text)
             print("%s %s" % (utt, " ".join(words)))
             if refs is not None:
-                if utt not in refs:
-                    raise corpus_mod.CorpusError("no reference for %s" % utt,
-                                                 path=args.refs)
                 pairs.append((refs[utt], words))
     if refs is not None:
         c = evaluate.corpus_wer(pairs)

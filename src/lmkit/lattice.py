@@ -5,6 +5,16 @@ carry times; arcs carry a surface word plus acoustic and language-model
 scores, both natural-log.  A path scores ac_scale * sum(acoustic) +
 lm_scale * sum(lm) over its arcs.
 
+A Lattice holds flat columns, one Python list each, indexed by id: the
+node times, and the arc starts, ends, words, acoustic and lm scores.
+Lattice.finish adds the index: out- and in-adjacency in CSR form (per
+node an offset into one list of arc ids, ascending arc id within a node),
+the two endpoints, and a topological order (Kahn's algorithm, the lowest
+ready node first).  So a lattice is a dozen lists however many arcs it
+has, and that is all the cyclic garbage collector scans of it.  Node and
+Arc are what Lattice(nodes, arcs) takes, and what the read-only views
+lat.nodes and lat.arcs build afresh on every access.
+
 Lattice.finish requires one node without in-arcs, one without out-arcs
 and no cycle, which puts every node on a path from the initial to the
 final node: walking in-arcs back from any node must end, and only at the
@@ -59,14 +69,18 @@ memory.
 
 States are numbered as the walk reaches their nodes, so the transitions
 come out in (start, arc, end) order with every arc running from a lower to
-a higher id, and the output lattice is built already indexed: its
-adjacency, its endpoints and the identity order as its topological order,
+a higher id.  Each transition is appended to parallel lists (start, input
+arc, end state, new lm score) that become the output lattice's columns,
+its words and acoustic scores gathered through the input arcs; the output
+is built already indexed, with the identity as its topological order,
 exactly what Lattice.finish would derive.
 """
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,62 +119,115 @@ class Arc:
         self.lm = lm
 
 
+def _csr(keys, n):
+    """The ids 0..len(keys)-1 grouped by key, a node id below n: offsets,
+    where the ids of node u are ids[offsets[u]:offsets[u + 1]], and the
+    ids, ascending within each node (the sort is stable)."""
+    counts = [0] * n
+    for u in keys:
+        counts[u] += 1
+    return list(accumulate(counts, initial=0)), sorted(range(len(keys)), key=keys.__getitem__)
+
+
+class _View(Sequence):
+    """A read-only sequence over columns whose item i is make(i, col[i]
+    for each column), built anew on every access and kept nowhere."""
+
+    __slots__ = ("_make", "_cols")
+
+    def __init__(self, make, *cols):
+        self._make = make
+        self._cols = cols
+
+    def __len__(self):
+        return len(self._cols[0])
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return self._make(i, *[col[i] for col in self._cols])
+
+    def __iter__(self):
+        return map(self._make, range(len(self)), *self._cols)
+
+
 class Lattice:
+    """Columns: `time` per node; `start`, `end`, `word`, `ac` and `lm` per
+    arc.  finish() adds `out_off`/`out_ids` and `in_off`/`in_ids` (the
+    arcs leaving and entering node u are out_ids[out_off[u]:out_off[u +
+    1]] and the same of in_ids, in ascending id), `initial`, `final` and
+    `topo`.  A rescored lattice also has `node_origin` and `arc_origin`."""
+
+    __slots__ = ("time", "start", "end", "word", "ac", "lm",
+                 "out_off", "out_ids", "in_off", "in_ids",
+                 "initial", "final", "topo", "node_origin", "arc_origin")
+
     def __init__(self, nodes, arcs):
-        self.nodes = nodes
-        self.arcs = arcs
-        self.out_arcs = None
-        self.in_arcs = None
-        self.initial = None
-        self.final = None
-        self.topo = None
+        """The columns of lists of Node and Arc objects, each in id order."""
+        if any(nd.id != i for i, nd in enumerate(nodes)):
+            raise LatticeError("node ids not consecutive from 0")
+        if any(a.id != j for j, a in enumerate(arcs)):
+            raise LatticeError("arc ids not consecutive from 0")
+        self.time = [nd.time for nd in nodes]
+        self.start = [a.start for a in arcs]
+        self.end = [a.end for a in arcs]
+        self.word = [a.word for a in arcs]
+        self.ac = [a.ac for a in arcs]
+        self.lm = [a.lm for a in arcs]
+
+    @classmethod
+    def _from_columns(cls, time, start, end, word, ac, lm):
+        """A lattice holding these lists as its columns, not yet finished."""
+        lat = cls.__new__(cls)
+        lat.time, lat.start, lat.end, lat.word, lat.ac, lat.lm = time, start, end, word, ac, lm
+        return lat
+
+    @property
+    def nodes(self):
+        return _View(Node, self.time)
+
+    @property
+    def arcs(self):
+        return _View(Arc, self.start, self.end, self.word, self.ac, self.lm)
 
     def finish(self):
         """Build adjacency, locate the endpoints, and validate structure."""
-        n = len(self.nodes)
-        if not self.arcs:
+        n, start, end = len(self.time), self.start, self.end
+        if not start:
             raise LatticeError("lattice has no arcs")
-        for i, nd in enumerate(self.nodes):
-            if nd.id != i:
-                raise LatticeError("node ids not consecutive from 0")
-        for i, a in enumerate(self.arcs):
-            if a.id != i:
-                raise LatticeError("arc ids not consecutive from 0")
-            if not 0 <= a.start < n or not 0 <= a.end < n:
-                raise LatticeError("arc %d endpoint out of range" % a.id)
-            if a.start == a.end:
-                raise LatticeError("arc %d is a self loop" % a.id)
-        self.out_arcs = [[] for _ in range(n)]
-        self.in_arcs = [[] for _ in range(n)]
-        for a in self.arcs:
-            self.out_arcs[a.start].append(a.id)
-            self.in_arcs[a.end].append(a.id)
-        starts = [i for i in range(n) if not self.in_arcs[i]]
-        ends = [i for i in range(n) if not self.out_arcs[i]]
+        for j, (s, e) in enumerate(zip(start, end)):
+            if not 0 <= s < n or not 0 <= e < n:
+                raise LatticeError("arc %d endpoint out of range" % j)
+            if s == e:
+                raise LatticeError("arc %d is a self loop" % j)
+        self.out_off, self.out_ids = _csr(start, n)
+        self.in_off, self.in_ids = _csr(end, n)
+        out_off, out_ids, in_off = self.out_off, self.out_ids, self.in_off
+        starts = [u for u in range(n) if in_off[u] == in_off[u + 1]]
+        ends = [u for u in range(n) if out_off[u] == out_off[u + 1]]
         if len(starts) != 1:
             raise LatticeError("expected one initial node, found %d" % len(starts))
         if len(ends) != 1:
             raise LatticeError("expected one final node, found %d" % len(ends))
         self.initial, self.final = starts[0], ends[0]
         # Kahn's algorithm; a heap keeps the order deterministic
-        indeg = [len(self.in_arcs[i]) for i in range(n)]
-        ready = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(ready)
+        indeg = [b - a for a, b in zip(in_off, in_off[1:])]
+        ready = [self.initial]
         topo = []
         while ready:
             u = heapq.heappop(ready)
             topo.append(u)
-            for aid in self.out_arcs[u]:
-                v = self.arcs[aid].end
+            for aid in out_ids[out_off[u]:out_off[u + 1]]:
+                v = end[aid]
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     heapq.heappush(ready, v)
         if len(topo) != n:
             raise LatticeError("lattice contains a cycle")
         self.topo = topo
-        for a in self.arcs:
-            if self.nodes[a.end].time + 1e-9 < self.nodes[a.start].time:
-                raise LatticeError("arc %d runs backwards in time" % a.id)
+        time = self.time
+        for j, (s, e) in enumerate(zip(start, end)):
+            if time[e] + 1e-9 < time[s]:
+                raise LatticeError("arc %d runs backwards in time" % j)
         return self
 
 
@@ -214,6 +281,8 @@ def parse_slf(text):
             j = _parse_int(fields, "J", line_no)
             if j in arc_rows:
                 raise LatticeError("duplicate arc id %d" % j, line_no)
+            if not 0 <= j < l_decl:
+                raise LatticeError("arc id %d out of range" % j, line_no)
             for key in ("S", "E", "W"):
                 if key not in fields:
                     raise LatticeError("missing field %s" % key, line_no)
@@ -248,18 +317,18 @@ def parse_slf(text):
         raise LatticeError("declared %d nodes, found %d" % (n_decl, len(node_rows)))
     if len(arc_rows) != l_decl:
         raise LatticeError("declared %d arcs, found %d" % (l_decl, len(arc_rows)))
-    nodes = [Node(i, node_rows[i]) for i in range(n_decl)]
-    arcs = [Arc(j, *arc_rows[j]) for j in range(l_decl)]
-    return Lattice(nodes, arcs).finish()
+    # the ids are in range and distinct, so they are 0..count-1
+    time = [node_rows[i] for i in range(n_decl)]
+    rows = [arc_rows[j] for j in range(l_decl)]
+    return Lattice._from_columns(time, *([row[c] for row in rows] for c in range(5))).finish()
 
 
 def write_slf(lat):
-    out = ["VERSION=1.0", "N=%d\tL=%d" % (len(lat.nodes), len(lat.arcs))]
-    for nd in lat.nodes:
-        out.append("I=%d\tt=%.2f" % (nd.id, nd.time))
-    for a in lat.arcs:
-        out.append("J=%d\tS=%d\tE=%d\tW=%s\ta=%.6f\tl=%.6f"
-                   % (a.id, a.start, a.end, a.word, a.ac, a.lm))
+    out = ["VERSION=1.0", "N=%d\tL=%d" % (len(lat.time), len(lat.start))]
+    out += ["I=%d\tt=%.2f" % node for node in enumerate(lat.time)]
+    out += ["J=%d\tS=%d\tE=%d\tW=%s\ta=%.6f\tl=%.6f" % arc
+            for arc in zip(range(len(lat.start)), lat.start, lat.end, lat.word,
+                           lat.ac, lat.lm)]
     return "\n".join(out) + "\n"
 
 
@@ -287,18 +356,20 @@ class Hypothesis:
 
 
 def _arc_weights(lat, ac_scale, lm_scale):
-    return [ac_scale * a.ac + lm_scale * a.lm for a in lat.arcs]
+    return [ac_scale * ac + lm_scale * lm for ac, lm in zip(lat.ac, lat.lm)]
 
 
 def _forward(lat, weights, add):
     """Per node, the add-sum over its paths from the initial node of their
     weight sums: pushed along out-arcs in topological order."""
-    alpha = [NEG_INF] * len(lat.nodes)
+    end, off, ids = lat.end, lat.out_off, lat.out_ids
+    alpha = [NEG_INF] * len(lat.time)
     alpha[lat.initial] = 0.0
     for u in lat.topo:
-        for aid in lat.out_arcs[u]:
-            v = lat.arcs[aid].end
-            alpha[v] = add(alpha[v], alpha[u] + weights[aid])
+        a = alpha[u]
+        for aid in ids[off[u]:off[u + 1]]:
+            v = end[aid]
+            alpha[v] = add(alpha[v], a + weights[aid])
     return alpha
 
 
@@ -306,19 +377,21 @@ def _backward(lat, weights, add):
     """Per node, the add-sum over its paths to the final node of their
     weight sums: pulled over out-arcs in arc-id order, in reverse
     topological order."""
-    beta = [NEG_INF] * len(lat.nodes)
+    end, off, ids = lat.end, lat.out_off, lat.out_ids
+    beta = [NEG_INF] * len(lat.time)
     beta[lat.final] = 0.0
     for u in reversed(lat.topo):
-        for aid in lat.out_arcs[u]:
-            beta[u] = add(beta[u], weights[aid] + beta[lat.arcs[aid].end])
+        b = beta[u]
+        for aid in ids[off[u]:off[u + 1]]:
+            b = add(b, weights[aid] + beta[end[aid]])
+        beta[u] = b
     return beta
 
 
 def _make_hypothesis(lat, arc_ids, ac_scale, lm_scale):
-    arcs = [lat.arcs[aid] for aid in arc_ids]
-    ac = ordered_sum(a.ac for a in arcs)
-    lm = ordered_sum(a.lm for a in arcs)
-    return Hypothesis([a.word for a in arcs], tuple(arc_ids), ac, lm,
+    ac = ordered_sum(map(lat.ac.__getitem__, arc_ids))
+    lm = ordered_sum(map(lat.lm.__getitem__, arc_ids))
+    return Hypothesis(list(map(lat.word.__getitem__, arc_ids)), tuple(arc_ids), ac, lm,
                       ac_scale * ac + lm_scale * lm)
 
 
@@ -326,13 +399,16 @@ def best_path(lat, ac_scale=1.0, lm_scale=1.0):
     """Highest-scoring path.  Arcs relax in ascending id order with a strict
     comparison, so ties resolve the same way every run."""
     weights = _arc_weights(lat, ac_scale, lm_scale)
-    score = {lat.initial: 0.0}
-    back = {}
+    end, off, ids = lat.end, lat.out_off, lat.out_ids
+    score = [None] * len(lat.time)
+    score[lat.initial] = 0.0
+    back = [None] * len(lat.time)
     for u in lat.topo:
-        for aid in lat.out_arcs[u]:
-            v = lat.arcs[aid].end
-            s = score[u] + weights[aid]
-            if v not in score or s > score[v]:
+        g = score[u]
+        for aid in ids[off[u]:off[u + 1]]:
+            v = end[aid]
+            s = g + weights[aid]
+            if score[v] is None or s > score[v]:
                 score[v] = s
                 back[v] = aid
     arc_ids = []
@@ -340,7 +416,7 @@ def best_path(lat, ac_scale=1.0, lm_scale=1.0):
     while u != lat.initial:
         aid = back[u]
         arc_ids.append(aid)
-        u = lat.arcs[aid].start
+        u = lat.start[aid]
     arc_ids.reverse()
     return _make_hypothesis(lat, arc_ids, ac_scale, lm_scale)
 
@@ -353,19 +429,23 @@ def nbest(lat, n, ac_scale=1.0, lm_scale=1.0):
         return []
     weights = _arc_weights(lat, ac_scale, lm_scale)
     togo = _backward(lat, weights, max)
+    end, off, ids = lat.end, lat.out_off, lat.out_ids
+    # each node's out-arcs sliced once: a node is expanded once per
+    # partial path that reaches it
+    out_arcs = [ids[off[u]:off[u + 1]] for u in range(len(lat.time))]
     heap = [(-togo[lat.initial], (), lat.initial, 0.0)]
     seen = set()
     out = []
     while heap and len(out) < n:
         neg_f, arc_ids, u, g = heapq.heappop(heap)
         if u == lat.final:
-            words = tuple(lat.arcs[aid].word for aid in arc_ids)
+            words = tuple(map(lat.word.__getitem__, arc_ids))
             if words not in seen:
                 seen.add(words)
                 out.append(_make_hypothesis(lat, list(arc_ids), ac_scale, lm_scale))
             continue
-        for aid in lat.out_arcs[u]:
-            v = lat.arcs[aid].end
+        for aid in out_arcs[u]:
+            v = end[aid]
             g2 = g + weights[aid]
             heapq.heappush(heap, (-(g2 + togo[v]), arc_ids + (aid,), v, g2))
     return out
@@ -415,8 +495,8 @@ def _log_posteriors(lat, weights, add=_logadd):
     alpha = _forward(lat, weights, add)
     beta = _backward(lat, weights, add)
     log_z = alpha[lat.final]
-    return [alpha[a.start] + weights[a.id] + beta[a.end] - log_z
-            for a in lat.arcs], log_z
+    return [alpha[s] + w + beta[e] - log_z
+            for s, w, e in zip(lat.start, weights, lat.end)], log_z
 
 
 def arc_posteriors(lat, ac_scale=1.0, lm_scale=1.0):
@@ -441,13 +521,14 @@ def prune(lat, beam, ac_scale=1.0, lm_scale=1.0):
     # drop arcs stranded by the cut: under max, a kept arc's log posterior
     # is 0.0 if a path of kept arcs runs through it, else -inf
     on_path, _ = _log_posteriors(lat, keep, max)
-    arcs_kept = [a for a in lat.arcs if on_path[a.id] == 0.0]
-    node_ids = sorted({a.start for a in arcs_kept} | {a.end for a in arcs_kept})
-    node_map = {old: new for new, old in enumerate(node_ids)}
-    nodes = [Node(node_map[i], lat.nodes[i].time) for i in node_ids]
-    arcs = [Arc(j, node_map[a.start], node_map[a.end], a.word, a.ac, a.lm)
-            for j, a in enumerate(arcs_kept)]
-    return Lattice(nodes, arcs).finish()
+    kept = [j for j, p in enumerate(on_path) if p == 0.0]
+    start, end = lat.start, lat.end
+    node_ids = sorted({start[j] for j in kept} | {end[j] for j in kept})
+    node_map = dict(zip(node_ids, range(len(node_ids))))
+    word, ac, lm = ([col[j] for j in kept] for col in (lat.word, lat.ac, lat.lm))
+    return Lattice._from_columns([lat.time[i] for i in node_ids],
+                                 [node_map[start[j]] for j in kept],
+                                 [node_map[end[j]] for j in kept], word, ac, lm).finish()
 
 
 # ---- rescoring ----
@@ -529,9 +610,10 @@ def _future_sets(lat, word_ids, k, pad_id):
     """For every node, the sorted k-word windows that can follow it on some
     path, padded past the final node, and the same windows grouped by their
     first k - 1 words.  With k = 0 every node has the one empty window."""
-    n = len(lat.nodes)
+    n = len(lat.time)
     if not k:
         return [[()]] * n, [{(): [()]}] * n
+    end, off, ids = lat.end, lat.out_off, lat.out_ids
     futures = [None] * n
     by_prefix = [None] * n
     for u in reversed(lat.topo):
@@ -541,8 +623,8 @@ def _future_sets(lat, word_ids, k, pad_id):
             # an arc's word followed by the first k - 1 words of a window
             # of its end node
             futs = sorted({(word_ids[aid],) + prefix
-                           for aid in lat.out_arcs[u]
-                           for prefix in by_prefix[lat.arcs[aid].end]})
+                           for aid in ids[off[u]:off[u + 1]]
+                           for prefix in by_prefix[end[aid]]})
         groups = {}
         for f in futs:
             groups.setdefault(f[:-1], []).append(f)
@@ -592,17 +674,17 @@ def _rescore(lat, model, combine, n_hist, alpha, cache, ac_scale, lm_scale):
     # the incoming lm score; in the shortlist the penalty is 0.0, whose
     # subtraction changes no value, so every word score has the bytes
     # word_logprob_from_dist gives
-    arcs = []
-    for a in lat.arcs:
-        w = vocab.id_of(a.word)
-        pen = math.log(vocab.n_oos) if vocab.is_oos(w) else 0.0
-        arcs.append((a.id, a.end, w, vocab.output_index(w), pen,
-                     ac_scale * a.ac, a.lm))
-    # the lists ascend in arc id, as finish() and this function build them
-    out_arcs = [[arcs[aid] for aid in aids] for aids in lat.out_arcs]
+    word_ids = [vocab.id_of(word) for word in lat.word]
+    arcs = [(aid, end, w, vocab.output_index(w),
+             math.log(vocab.n_oos) if vocab.is_oos(w) else 0.0, ac_scale * ac, lm)
+            for aid, (end, w, ac, lm) in enumerate(zip(lat.end, word_ids, lat.ac, lat.lm))]
+    # per node, its out-arcs in ascending id, as the CSR index holds them
+    by_start = [arcs[aid] for aid in lat.out_ids]
+    off = lat.out_off
+    out_arcs = [by_start[off[u]:off[u + 1]] for u in range(len(lat.time))]
     # a state that promised window f continues along the arcs with word
     # f[0] into the windows that start with f[1:]
-    futures, by_prefix = _future_sets(lat, [arc[2] for arc in arcs], k, vocab.pad)
+    futures, by_prefix = _future_sets(lat, word_ids, k, vocab.pad)
     by_word = []
     if k:
         for node_arcs in out_arcs:
@@ -620,14 +702,18 @@ def _rescore(lat, model, combine, n_hist, alpha, cache, ac_scale, lm_scale):
     first = (vocab.sent_begin,)
     hist0 = _trunc_hist(first, n_hist)
     final_key = (None, None)
-    states = [dict() for _ in lat.nodes]
+    states = [dict() for _ in lat.time]
     states[lat.initial][(hist0, None)] = _State(0.0, root, vocab.sent_begin)
     created = 1
-    remaining = [len(aids) for aids in lat.in_arcs]
+    in_off = lat.in_off
+    remaining = [b - a for a, b in zip(in_off, in_off[1:])]
     ready = [lat.initial]   # nodes whose predecessors have all relaxed
     pending = {}            # node -> (sorted states, transitions)
     origin = []
-    transitions = []
+    # the output arcs, one entry per transition in each list: start node id,
+    # input arc id, end state (its node id is given when the walk reaches
+    # it) and new lm score
+    out_start, out_arc, out_dst, out_lm = [], [], [], []
 
     def output(h, window):
         return model.output_dist(h, window if k else None, alpha)
@@ -694,7 +780,10 @@ def _rescore(lat, model, combine, n_hist, alpha, cache, ac_scale, lm_scale):
                 dst = states[end][skey] = _State(g, st, w)
             elif g > dst.g:
                 dst.g, dst.prev, dst.word = g, st, w
-            transitions.append((st, aid, dst, new_lm))
+            out_start.append(st.id)
+            out_arc.append(aid)
+            out_dst.append(dst)
+            out_lm.append(new_lm)
         for arc in out_arcs[u]:
             remaining[arc[1]] -= 1
             if not remaining[arc[1]]:
@@ -708,19 +797,16 @@ def _rescore(lat, model, combine, n_hist, alpha, cache, ac_scale, lm_scale):
     # arc, end) order, every arc runs from a lower to a higher id, and the
     # identity is the topological order finish() would find.
     n = len(origin)
-    nodes = [Node(i, lat.nodes[o[0]].time) for i, o in enumerate(origin)]
-    out = Lattice(nodes, [])
-    out.out_arcs = [[] for _ in range(n)]
-    out.in_arcs = [[] for _ in range(n)]
-    for j, (st, aid, dst, new_lm) in enumerate(transitions):
-        a = lat.arcs[aid]
-        out.arcs.append(Arc(j, st.id, dst.id, a.word, a.ac, new_lm))
-        out.out_arcs[st.id].append(j)
-        out.in_arcs[dst.id].append(j)
+    out_end = [dst.id for dst in out_dst]
+    out = Lattice._from_columns([lat.time[o[0]] for o in origin], out_start, out_end,
+                                [lat.word[aid] for aid in out_arc],
+                                [lat.ac[aid] for aid in out_arc], out_lm)
+    out.out_off, out.out_ids = _csr(out_start, n)
+    out.in_off, out.in_ids = _csr(out_end, n)
     out.initial, out.final = 0, n - 1
     out.topo = list(range(n))
     out.node_origin = origin
-    out.arc_origin = [aid for _, aid, _, _ in transitions]
+    out.arc_origin = out_arc
     return out
 
 

@@ -141,7 +141,7 @@ def enumerate_paths(lat, limit=100000):
         if u == lat.final:
             out.append(arc_ids)
             continue
-        for aid in reversed(lat.out_arcs[u]):
+        for aid in reversed(lat.out_ids[lat.out_off[u]:lat.out_off[u + 1]]):
             stack.append((lat.arcs[aid].end, arc_ids + (aid,)))
         if len(out) > limit:
             raise LatticeError("more than %d paths" % limit)

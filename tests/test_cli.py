@@ -407,6 +407,24 @@ def test_duplicate_reference_exits_2(ws, tmp_path):
     assert err == "data error: %s: line 6: duplicate reference for %s\n" % (refs, utt)
 
 
+def test_missing_reference_exits_2_before_any_lattice(ws, tmp_path):
+    # every lattice's reference is looked up before the first is rescored,
+    # so nothing is printed or written for the lattices ahead of the gap
+    fx = ws / "fx"
+    refs = tmp_path / "refs.txt"
+    lines = (fx / "refs.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[5].split()[0] == "utt0005"
+    del lines[5]
+    refs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run(["rescore", "--lattices", fx / "lattices",
+                          "--model", ws / "uni.model", "--refs", refs,
+                          "--out-dir", out_dir])
+    assert (code, out) == (2, ""), err
+    assert err == "data error: %s: no reference for utt0005\n" % refs
+    assert not out_dir.exists()
+
+
 def test_data_errors_exit_2(ws, tmp_path):
     fx = ws / "fx"
     garbage = tmp_path / "garbage.arpa"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 
 from lmkit import lattice as lattice_mod
 from lmkit import models as models_mod
+from lmkit import synth as synth_mod
 from lmkit.corpus import build_vocabulary
 from lmkit.interpolate import InterpConfig, linear, loglinear_score, safe_ln, two_stage
 from lmkit.lattice import (LM_FLOOR, Arc, Hypothesis, Lattice, LatticeError,
@@ -19,6 +21,7 @@ from lmkit.models import SuRnnlm, UniRnnlm
 from lmkit.ngram import train_kn
 from lmkit.corpus import TokenizedCorpus
 from lmkit.synth import confusion_sausage
+import oracles
 from oracles import enumerate_paths, future_window, path_words, random_dag_lattice, step
 
 
@@ -97,6 +100,8 @@ def test_parse_slf_reports_line_numbers():
         ("N=2\tL=1\nI=0\tt=0\nbogus\n", "line 3"),
         ("I=0\tt=0\n", "line 1"),
         ("N=2\tL=1\nI=0\tt=0\nI=1\tt=1\nJ=0\tS=0\tE=1\n", "line 4"),
+        ("N=2\tL=1\nI=0\tt=0\nI=1\tt=1\nJ=5\tS=0\tE=1\tW=a\n",
+         "line 4: arc id 5 out of range"),
     ]
     for text, where in cases:
         with pytest.raises(LatticeError) as err:
@@ -119,6 +124,60 @@ def test_save_load_slf_files(tmp_path):
     save_slf(lat, path)
     back = load_slf(path)
     assert write_slf(back) == write_slf(lat)
+
+
+def _index(lat):
+    return (lat.out_off, lat.out_ids, lat.in_off, lat.in_ids, lat.initial, lat.final,
+            lat.topo)
+
+
+def test_columns_match_the_constructor_and_the_slf_round_trip(monkeypatch):
+    # every lattice Lattice(nodes, arcs) builds for the oracles' random DAGs
+    # and for synth's sausages: its views give back the objects' values, and
+    # parsing its SLF text gives the same columns, the scores as printed
+    given = []
+
+    class Recording(Lattice):
+        __slots__ = ()
+
+        def __init__(self, nodes, arcs):
+            given.append((self, nodes, arcs))
+            super().__init__(nodes, arcs)
+
+    monkeypatch.setattr(oracles, "Lattice", Recording)
+    monkeypatch.setattr(synth_mod, "Lattice", Recording)
+    rng = random.Random(77)
+    _, ngram = _scorer_setup()[:2]
+    lats = [random_dag_lattice(rng, SHORTLIST_WORDS) for _ in range(20)]
+    for _ in range(10):
+        ref = [rng.choice(SHORTLIST_WORDS) for _ in range(rng.randint(1, 8))]
+        lats.append(confusion_sausage(ngram, ref, rng.randrange(len(ref)),
+                                      rng.choice(SHORTLIST_WORDS), 0.5, rng))
+    # random_dag_lattice drops a lattice with too many paths and draws again
+    made = {id(lat): (nodes, arcs) for lat, nodes, arcs in given}
+    for lat in lats:
+        nodes, arcs = made[id(lat)]
+        assert [(nd.id, nd.time) for nd in lat.nodes] == [(nd.id, nd.time) for nd in nodes]
+        fields = [(a.id, a.start, a.end, a.word, a.ac, a.lm) for a in arcs]
+        assert [(a.id, a.start, a.end, a.word, a.ac, a.lm) for a in lat.arcs] == fields
+        assert [(a.id, a.start, a.end, a.word, a.ac, a.lm)
+                for a in map(lat.arcs.__getitem__, range(-len(arcs), 0))] == fields
+        assert lat.time == [nd.time for nd in nodes]
+        assert [lat.start, lat.end, lat.word, lat.ac, lat.lm] == [
+            [getattr(a, name) for a in arcs] for name in ("start", "end", "word", "ac", "lm")]
+        assert _index(lat) == _index(Lattice(lat.nodes, lat.arcs).finish())
+        text = write_slf(lat)
+        back = parse_slf(text)
+        assert write_slf(back) == text
+        assert (back.start, back.end, back.word) == (lat.start, lat.end, lat.word)
+        assert back.time == [float("%.2f" % t) for t in lat.time]
+        assert back.ac == [float("%.6f" % v) for v in lat.ac]
+        assert back.lm == [float("%.6f" % v) for v in lat.lm]
+        assert _index(back) == _index(lat)
+        # the views are built on every access and hold nothing
+        assert lat.arcs[0] is not lat.arcs[0]
+        with pytest.raises(IndexError):
+            lat.arcs[len(arcs)]
 
 
 # ---- path search ----
@@ -546,10 +605,6 @@ def _indexing_cases(ngram):
     return lats
 
 
-def _index(lat):
-    return lat.out_arcs, lat.in_arcs, lat.initial, lat.final, lat.topo
-
-
 @pytest.mark.parametrize("merge", MERGES)
 def test_rescored_lattices_are_indexed_as_finish_would_index_them(merge):
     # rescoring sets adjacency, endpoints and order itself instead of
@@ -565,6 +620,33 @@ def test_rescored_lattices_are_indexed_as_finish_would_index_them(merge):
             back = parse_slf(text)
             assert write_slf(back) == text
             assert _index(back) == _index(out)
+
+
+def test_kept_lattices_hold_as_many_tracked_objects_whatever_their_size():
+    # a lattice is a handful of lists, so what a parsed, pruned and twice
+    # rescored sausage leaves for the garbage collector to track does not
+    # grow with its arcs.  The second collection is for the output's
+    # node_origin tuples: one collection untracks a tuple once its items
+    # are untracked, and may visit a tuple before the tuples it holds
+    _, ngram, uni, _, su3 = _scorer_setup()
+    rng = random.Random(79)
+    added = []
+    for n_arcs in (20, 2000):
+        ref = [rng.choice(SHORTLIST_WORDS) for _ in range(n_arcs - 1)]
+        text = write_slf(confusion_sausage(ngram, ref, len(ref) // 2, "v", 0.5, rng))
+        gc.collect()
+        before = len(gc.get_objects())
+        lat = parse_slf(text)
+        pruned = prune(lat, 5.0)
+        mid = rescore_lattice_uni(pruned, uni)
+        out = rescore_lattice_su(mid, su3)
+        gc.collect()
+        gc.collect()
+        added.append(len(gc.get_objects()) - before)
+        assert len(lat.arcs) == n_arcs and len(out.arcs) > n_arcs
+        del lat, pruned, mid, out
+    # four lattices of a dozen lists each, two origin lists
+    assert added[0] == added[1] <= 60, added
 
 
 def test_out_of_shortlist_words_match_per_path_oracle():
